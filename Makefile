@@ -4,11 +4,11 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS := FuzzDecodePathLog FuzzDecodePathLogSalvage \
 	FuzzDecodeAccessVectorLog FuzzDecodeSyncOrderLog
 
-.PHONY: ci lint vet fmt-check build test fuzz-smoke bench bench-baseline \
+.PHONY: ci lint vet fmt-check build test e2ebench-check fuzz-smoke bench \
 	bench-compare bench-gate vet-examples races-examples race-obs \
 	metrics-smoke timeline-smoke serve-smoke
 
-ci: lint build test vet-examples races-examples fuzz-smoke race-obs metrics-smoke timeline-smoke serve-smoke bench-gate
+ci: lint build test e2ebench-check vet-examples races-examples fuzz-smoke race-obs metrics-smoke timeline-smoke serve-smoke bench-gate
 
 lint: vet fmt-check
 
@@ -46,16 +46,17 @@ build:
 test:
 	$(GO) test -race -timeout 40m ./...
 
+# The end-to-end benchmark is a nested module (e2ebench/go.mod), so the
+# root's ./... never compiles it; vet and test it on its own so a change
+# to an API it calls fails here rather than when the benchmark runs.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # Machine-readable per-stage perf snapshot over the paper's eleven
 # benchmarks (BENCH_<date>T<hhmmss>.json — timestamped so two same-day
-# runs never clobber). `bench-baseline` measures the pre-optimization
-# pipeline (no preprocessing, serial portfolio) so the committed pair
-# documents a perf change; see cmd/benchjson.
+# runs never clobber); see cmd/benchjson.
 bench:
 	$(GO) run ./cmd/benchjson
-
-bench-baseline:
-	$(GO) run ./cmd/benchjson -baseline -o BENCH_baseline.json
 
 # Diff two committed snapshots: per-benchmark per-stage speedup table,
 # non-zero exit when any stage measured in both regressed >10% ns/op.

@@ -39,8 +39,9 @@ const (
 	Parallel = core.Parallel
 	// CNF is the SAT encoding with a CDCL core.
 	CNF = core.CNF
-	// Portfolio tries Sequential under a budget, then Parallel, then CNF,
-	// recording the per-attempt trail in Reproduction.Attempts.
+	// Portfolio runs Sequential for a short head start, then CNF with the
+	// rest of the budget, then Sequential again if CNF failed before the
+	// deadline, recording the per-attempt trail in Reproduction.Attempts.
 	Portfolio = core.Portfolio
 )
 

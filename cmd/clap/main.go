@@ -47,8 +47,9 @@
 //	-seeds N            how many seeds to try when hunting (default 2000)
 //	-input a,b,c        deterministic program inputs
 //	-solver seq|par|cnf|portfolio
-//	                    solving strategy (default seq); portfolio tries
-//	                    seq, then par, then cnf, printing the attempt trail
+//	                    solving strategy (default seq); portfolio runs
+//	                    seq for a short head start, then cnf, then seq
+//	                    again if cnf failed, printing the attempt trail
 //	-cs N               preemption bound (-1 = minimal, default)
 //	-timeout D          bound each phase's wall time (e.g. 30s, 2m);
 //	                    interrupted phases report partial diagnostics

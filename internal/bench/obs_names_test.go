@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/solver"
 )
 
 // TestObsNamesStable runs the instrumented pipeline over every benchmark
@@ -16,10 +15,11 @@ import (
 // DESIGN.md) before it ships, so renames show up as test failures here
 // instead of silent schema drift.
 func TestObsNamesStable(t *testing.T) {
-	// The lazy-CNF and artifact-cache metrics only appear on a CNF-backed
-	// cached run, which the per-benchmark sweep below (sequential, no
-	// cache) never produces — pin them in their own subtest so a rename
-	// or a silent drop of either family fails here.
+	// The artifact-cache metrics only appear on a cached run and the
+	// lazy-CNF ones only where CNF runs, which the per-benchmark sweep
+	// below (portfolio, no cache) does not guarantee — pin them in their
+	// own subtest so a rename or a silent drop of either family fails
+	// here.
 	t.Run("lazy-and-cache-pins", func(t *testing.T) {
 		t.Parallel()
 		for _, name := range []string{
@@ -103,11 +103,11 @@ func TestObsNamesStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := core.Reproduce(rec, core.ReproduceOptions{
-				Solver:     core.Sequential,
-				SeqOptions: solver.Options{MaxPreemptions: b.MaxPreemptions},
-				Obs:        tr,
-			})
+			// The sweep checks names and stage spans, not a solver: it
+			// runs the portfolio that clapd serves, which is much faster
+			// than the sequential search on the mutual-exclusion programs.
+			// TestEachBenchmarkReproduces covers the sequential solver.
+			rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Portfolio, Obs: tr})
 			if err != nil {
 				t.Fatal(err)
 			}

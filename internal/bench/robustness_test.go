@@ -8,11 +8,9 @@ package bench
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/parsolve"
 	"repro/internal/symexec"
 	"repro/internal/trace"
 )
@@ -151,7 +149,7 @@ func TestBenchmarkSalvageCorruptions(t *testing.T) {
 
 // TestPortfolioFallbackReproduces is the headline robustness claim: with
 // the preferred sequential solver forced to fail, the portfolio still
-// reproduces every benchmark bug through a fallback stage, and the attempt
+// reproduces every benchmark bug through its CNF step, and the attempt
 // trail says exactly what happened.
 func TestPortfolioFallbackReproduces(t *testing.T) {
 	if testing.Short() {
@@ -163,42 +161,24 @@ func TestPortfolioFallbackReproduces(t *testing.T) {
 			p := preparedFor(t, b)
 			faultinject.Enable("solver.sequential", faultinject.Failure{})
 			defer faultinject.Reset()
-			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-				Solver: core.Portfolio,
-				// The stages race, so a generous parallel budget no longer
-				// delays the CNF stage that solves the mutex spin loops —
-				// and racey, which only the parallel stage can solve here,
-				// needs the headroom when the race detector (and, on a
-				// single-core machine, the concurrent CNF stage) slows it.
-				ParOptions: parsolve.Options{Deadline: 90 * time.Second},
-			})
+			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{Solver: core.Portfolio})
 			if err != nil {
 				t.Fatalf("portfolio did not recover from an injected sequential failure: %v", err)
 			}
 			if rep.Outcome == nil || !rep.Outcome.Reproduced {
 				t.Fatal("bug not reproduced via fallback")
 			}
-			if len(rep.Attempts) < 2 {
-				t.Fatalf("attempt trail too short: %v", rep.Attempts)
+			if len(rep.Attempts) != 2 {
+				t.Fatalf("want a two-step trail, got %+v", rep.Attempts)
 			}
-			if rep.Attempts[0].Solver != "sequential" || rep.Attempts[0].Outcome != "fault injected" {
-				t.Fatalf("first attempt should be the injected sequential failure: %+v", rep.Attempts[0])
+			if a := rep.Attempts[0]; a.Solver != "sequential" || a.Outcome != "fault injected" {
+				t.Fatalf("first attempt should be the injected sequential failure: %+v", a)
 			}
-			var won *core.SolverAttempt
-			for i := range rep.Attempts {
-				a := &rep.Attempts[i]
-				if a.Outcome == "solved" {
-					won = a
-					break
-				}
+			won := rep.Attempts[1]
+			if won.Solver != "cnf" || won.Outcome != "solved" {
+				t.Fatalf("second attempt should be a CNF solve: %+v", won)
 			}
-			if won == nil {
-				t.Fatalf("no attempt solved: %+v", rep.Attempts)
-			}
-			if won.Solver == "sequential" {
-				t.Fatalf("the fault-injected sequential stage cannot have solved: %+v", rep.Attempts)
-			}
-			t.Logf("%s: %d attempts, solved by %s in %v", b.Name, len(rep.Attempts), won.Solver, won.Elapsed)
+			t.Logf("%s: solved by cnf in %v", b.Name, won.Elapsed)
 		})
 	}
 }

@@ -29,19 +29,16 @@ func observeLat(p *Prepared, stage string, start time.Time) {
 // skipped/interrupted stage instead of a hung benchmark run.
 const StageDeadline = 60 * time.Second
 
-// FreshSystem builds a constraint system from the prepared recording,
-// preprocessed unless baseline is set. Stage runners take their own system
-// rather than sharing p.System because Preprocess mutates the system in
-// place (candidate pruning) and the Table benchmarks measure the
-// un-preprocessed build.
-func FreshSystem(p *Prepared, baseline bool) (*constraints.System, error) {
+// FreshSystem builds a preprocessed constraint system from the prepared
+// recording. Stage runners take their own system rather than sharing
+// p.System because Preprocess mutates the system in place (candidate
+// pruning) and the Table benchmarks measure the un-preprocessed build.
+func FreshSystem(p *Prepared) (*constraints.System, error) {
 	sys, err := p.Recording.Analyze()
 	if err != nil {
 		return nil, err
 	}
-	if !baseline {
-		sys.Preprocess()
-	}
+	sys.Preprocess()
 	return sys, nil
 }
 

@@ -115,8 +115,8 @@ type Stats struct {
 	// blocks) plus the retractable BlockMapping class blocks — the third
 	// refinement kind next to cycle and address-split lemmas.
 	MappingBlocks int64
-	// Solves counts DPLL(T) entries on the session (Solve/SolveBounded
-	// calls); SessionReuse is the entries beyond the first, i.e. how often
+	// Solves counts DPLL(T) entries on the session (Solve calls);
+	// SessionReuse is the entries beyond the first, i.e. how often
 	// the encoded system was re-entered instead of rebuilt.
 	Solves int64
 	// SATConflicts / SATDecisions / SATPropagations / SATRestarts /
@@ -169,13 +169,9 @@ type Session struct {
 	e    *encoder
 	st   Stats
 	// groups are the retractable clause groups holding the blocking
-	// clauses added by BlockMapping, AssumeAdjacent and the bounded
-	// sweep's over-budget blocks; RetractBlocks retires them all.
+	// clauses added by BlockMapping and AssumeAdjacent; RetractBlocks
+	// retires them all.
 	groups []sat.Group
-	// boundGroup guards the over-budget schedule blocks added by
-	// SolveBounded (nil until the first such block). It is one of groups;
-	// kept separately so successive bounded rounds share a guard.
-	boundGroup *sat.Group
 }
 
 // Encoding size limits: the eager all-triples encoding emits ≈ n³/3
@@ -240,16 +236,6 @@ func NewSession(sys *constraints.System, opts Options) (*Session, error) {
 // Lazy reports whether the session uses the lazy-transitivity encoding.
 func (sess *Session) Lazy() bool { return !sess.e.eager }
 
-// SetOptions replaces the session's solving options — the budget fields
-// (Ctx, Deadline), the round limits and Progress. Encoding-time fields
-// (MaxSAPs, EagerTransitivity) were fixed at NewSession and are ignored
-// here. Callers re-entering one session under successively smaller wall
-// budgets (the rescue bound sweep) use this between Solve calls.
-func (sess *Session) SetOptions(opts Options) {
-	opts.fill()
-	sess.opts = opts
-}
-
 // Stats returns a snapshot of the session's cumulative statistics.
 func (sess *Session) Stats() Stats {
 	sess.refresh()
@@ -262,25 +248,6 @@ func (sess *Session) refresh() {
 	sess.st.sample(sess.e.s)
 }
 
-// Solve runs the DPLL(T) loop until a validated schedule emerges. The
-// returned stats pointer aliases the session's cumulative statistics.
-func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
-	return sess.solve(-1)
-}
-
-// SolveBounded runs the same DPLL(T) loop but only accepts schedules with
-// at most bound preemptions. Models are linearized with the thread-greedy
-// extraction (stay on the running thread while it has a ready SAP)
-// instead of the plain topological ranks, and a valid-but-over-budget
-// schedule is blocked under a retractable group, so a later sweep with a
-// higher bound on the same session re-admits it after RetractBlocks. An
-// Unsat from SolveBounded is inconclusive for the system as a whole: the
-// greedy extraction is an approximation, so exhaustion means "no schedule
-// found within the bound", not a proof of absence.
-func (sess *Session) SolveBounded(bound int) (*solver.Solution, *Stats, error) {
-	return sess.solve(bound)
-}
-
 // assumeLits collects the activation literals of the live clause groups.
 func (sess *Session) assumeLits() []sat.Lit {
 	lits := make([]sat.Lit, len(sess.groups))
@@ -290,7 +257,9 @@ func (sess *Session) assumeLits() []sat.Lit {
 	return lits
 }
 
-func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
+// Solve runs the DPLL(T) loop until a validated schedule emerges. The
+// returned stats pointer aliases the session's cumulative statistics.
+func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 	opts := sess.opts
 	e := sess.e
 	st := &sess.st
@@ -363,12 +332,7 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 				continue
 			}
 		}
-		var order []constraints.SAPRef
-		if bound >= 0 {
-			order = e.extractOrderMinSwitch()
-		} else {
-			order = e.extractOrder()
-		}
+		order := e.extractOrder()
 		if e.symbolicAddrs {
 			// Address-split theory: evaluate every symbolic address under
 			// the mapping-implied values and reject models whose read-from
@@ -399,13 +363,6 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 		st.TheoryRounds = base + round
 		w, err := e.sys.ValidateSchedule(order)
 		if err == nil {
-			if bound >= 0 && w.Preemptions > bound {
-				// Valid but over the preemption budget: block this pair
-				// projection under the retractable bound group so a later,
-				// higher-bound sweep re-admits it.
-				sess.blockOverBound()
-				continue
-			}
 			sess.refresh()
 			return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, st, nil
 		}
@@ -467,37 +424,16 @@ func (sess *Session) BlockMapping() {
 	sess.groups = append(sess.groups, g)
 }
 
-// blockOverBound forbids the current model's pair projection under the
-// shared bound group: the schedule is valid but exceeds the preemption
-// budget of the running SolveBounded call. RetractBlocks retires the
-// group, so a subsequent higher-bound sweep sees the schedule again.
-func (sess *Session) blockOverBound() {
-	e := sess.e
-	if sess.boundGroup == nil {
-		g := e.s.NewGroup()
-		sess.boundGroup = &g
-		sess.groups = append(sess.groups, g)
-	}
-	lits := make([]sat.Lit, 0, len(e.pairList))
-	for _, idx := range e.pairList {
-		v := int(e.pairVar[idx])
-		lits = append(lits, sat.MkLit(v, e.s.Value(v)))
-	}
-	sess.boundGroup.Add(lits...)
-	e.clauses++
-}
-
 // RetractBlocks permanently deactivates every blocking clause added by
 // BlockMapping, making the blocked mappings reachable again — the
-// cross-attempt reuse hook: a later bound sweep re-enters the same
-// encoded session with a clean slate but keeps all learnt clauses.
-// Adjacency groups added by AssumeAdjacent are retired the same way.
+// cross-query reuse hook: a later query re-enters the same encoded
+// session with a clean slate but keeps all learnt clauses. Adjacency
+// groups added by AssumeAdjacent are retired the same way.
 func (sess *Session) RetractBlocks() {
 	for _, g := range sess.groups {
 		g.Retire()
 	}
 	sess.groups = sess.groups[:0]
-	sess.boundGroup = nil
 }
 
 // AssumeAdjacent adds the race-adjacency constraint group for memory SAPs

@@ -170,13 +170,15 @@ func cachedSolve(rep *Reproduction, sys *constraints.System, cache *DiskCache, k
 	return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}
 }
 
-// lastSolver names the attempt that produced the solution — the trail's
-// last entry, by construction.
-func lastSolver(attempts []SolverAttempt) string {
-	if len(attempts) == 0 {
-		return ""
+// solvedBy names the attempt that produced the solution: the trail's
+// first attempt whose outcome is "solved".
+func solvedBy(attempts []SolverAttempt) string {
+	for _, a := range attempts {
+		if a.Outcome == "solved" {
+			return a.Solver
+		}
 	}
-	return attempts[len(attempts)-1].Solver
+	return ""
 }
 
 // ContentKey is the recording's content address: a hex SHA-256 over a

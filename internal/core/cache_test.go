@@ -142,3 +142,28 @@ func TestCachedScheduleRevalidated(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheRecordsSolvingAttempt pins which solver a cached schedule is
+// attributed to: the attempt that solved, not whichever attempt the trail
+// happens to end with.
+func TestCacheRecordsSolvingAttempt(t *testing.T) {
+	cache, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recordSrc(t, cacheSrc, vm.SC)
+	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if by := solvedBy(rep.Attempts); by != "sequential" {
+		t.Fatalf("solving attempt %q, want sequential: %+v", by, rep.Attempts)
+	}
+	if _, by := cache.LoadSchedule(rec.ContentKey()); by != "sequential" {
+		t.Fatalf("cache attributes the schedule to %q, want sequential", by)
+	}
+	trail := []SolverAttempt{{Solver: "sequential", Outcome: "interrupted"}, {Solver: "cnf", Outcome: "solved"}}
+	if by := solvedBy(trail); by != "cnf" {
+		t.Fatalf("solvedBy(%+v) = %q, want cnf", trail, by)
+	}
+}

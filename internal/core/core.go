@@ -408,9 +408,11 @@ const (
 	Parallel
 	// CNF is the SAT encoding with a CDCL core (internal/cnfsolver).
 	CNF
-	// Portfolio tries Sequential under a budget, then Parallel, then CNF,
-	// recording a per-attempt trail; a panic or injected fault in one
-	// stage degrades to the next instead of killing the pipeline.
+	// Portfolio runs Sequential for a short head start, then CNF with the
+	// rest of the budget, then Sequential again if CNF failed before the
+	// deadline, on the caller's goroutine (see portfolio.go). It records a
+	// per-attempt trail; a panic or injected fault in one step degrades to
+	// the next instead of killing the pipeline.
 	Portfolio
 )
 
@@ -443,14 +445,6 @@ type ReproduceOptions struct {
 	// CaptureReplay collects the replay's visible events into
 	// Outcome.Events — the replay lane of the flight-recorder timeline.
 	CaptureReplay bool
-	// NoPreprocess skips the shared constraint preprocessing pass
-	// (constraints.Preprocess) that every backend otherwise benefits
-	// from. Intended for baseline benchmarking and debugging.
-	NoPreprocess bool
-	// SerialPortfolio runs the portfolio stages strictly one after
-	// another (sequential, then parallel, then CNF) instead of racing
-	// them concurrently. Intended for baseline benchmarking.
-	SerialPortfolio bool
 	// Cache, when set, is the content-addressed artifact cache: the
 	// preprocessing snapshot and the solved schedule are loaded from (and
 	// stored to) it under CacheKey. Cached schedules are re-validated
@@ -556,26 +550,24 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 			cacheKey = rec.ContentKey()
 		}
 	}
-	if !opts.NoPreprocess {
-		psp := tr.Root().Start("preprocess")
-		applied := false
-		if opts.Cache != nil {
-			if snap := opts.Cache.LoadPreprocess(cacheKey); snap != nil && sys.ApplySnapshot(snap) {
-				tr.Reg().Counter("core.cache.hit").Add(1)
-				psp.SetAttr("cache", "hit")
-				emitPreStats(tr.Reg(), sys.Pre)
-				applied = true
-			}
+	psp := tr.Root().Start("preprocess")
+	applied := false
+	if opts.Cache != nil {
+		if snap := opts.Cache.LoadPreprocess(cacheKey); snap != nil && sys.ApplySnapshot(snap) {
+			tr.Reg().Counter("core.cache.hit").Add(1)
+			psp.SetAttr("cache", "hit")
+			emitPreStats(tr.Reg(), sys.Pre)
+			applied = true
 		}
-		if !applied {
-			emitPreStats(tr.Reg(), sys.PreprocessObs(psp))
-			if opts.Cache != nil {
-				tr.Reg().Counter("core.cache.miss").Add(1)
-				opts.Cache.StorePreprocess(cacheKey, sys.Snapshot())
-			}
-		}
-		endStage(tr.Reg(), "preprocess", psp)
 	}
+	if !applied {
+		emitPreStats(tr.Reg(), sys.PreprocessObs(psp))
+		if opts.Cache != nil {
+			tr.Reg().Counter("core.cache.miss").Add(1)
+			opts.Cache.StorePreprocess(cacheKey, sys.Snapshot())
+		}
+	}
+	endStage(tr.Reg(), "preprocess", psp)
 
 	slv := tr.Root().Start("solve")
 	slv.SetAttr("kind", opts.Solver.String())
@@ -587,7 +579,7 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 	if sol == nil {
 		sol, err = solveStage(rep, sys, opts, deadline, slv)
 		if sol != nil && opts.Cache != nil {
-			opts.Cache.StoreSchedule(cacheKey, sol.Order, lastSolver(rep.Attempts))
+			opts.Cache.StoreSchedule(cacheKey, sol.Order, solvedBy(rep.Attempts))
 		}
 	}
 	emitSolveSummary(tr.Reg(), rep.Attempts, sol)
@@ -629,33 +621,16 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 // solveStage dispatches to the selected solver, growing rep.Attempts and
 // the per-stage stats as it goes; every attempt becomes a child span of sp.
 func solveStage(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, error) {
-	reg := rep.Trace.Reg()
+	var sol *solver.Solution
+	var att SolverAttempt
 	switch opts.Solver {
 	case Sequential:
-		seqOpts := opts.SeqOptions
-		if seqOpts.MaxPreemptions == 0 {
-			// Default to minimal-preemption mode; an exact zero bound is
-			// available through the solver package directly.
-			seqOpts.MaxPreemptions = -1
-		}
-		wireSeq(&seqOpts, opts.Ctx, deadline)
-		wireProgress(reg, &seqOpts, nil, nil)
-		sol, att := runSolverStage(reg, "sequential", sp, func() (*solver.Solution, int, error) {
-			s, stats, err := solver.Solve(sys, seqOpts)
-			rep.SeqStats = stats
-			emitSeqStats(reg, stats)
-			return s, boundOf(stats), err
-		})
-		rep.Attempts = append(rep.Attempts, att)
-		if sol == nil {
-			return nil, attemptError("core", att)
-		}
-		return sol, nil
+		sol, att = seqStage(rep, sys, seqOptions(opts, deadline), sp)
 	case Parallel:
-		parOpts := opts.ParOptions
-		wirePar(&parOpts, opts.Ctx, deadline)
+		reg := rep.Trace.Reg()
+		parOpts := parOptions(opts, deadline)
 		wireProgress(reg, nil, &parOpts, nil)
-		sol, att := runSolverStage(reg, "parallel", sp, func() (*solver.Solution, int, error) {
+		sol, att = runSolverStage(reg, "parallel", sp, func() (*solver.Solution, int, error) {
 			res, err := parsolve.Solve(sys, parOpts)
 			rep.Parallel = res
 			emitParResult(reg, res)
@@ -667,35 +642,20 @@ func solveStage(rep *Reproduction, sys *constraints.System, opts ReproduceOption
 			}
 			return bestSolution(res), res.Bound, nil
 		})
-		rep.Attempts = append(rep.Attempts, att)
-		if sol == nil {
-			return nil, attemptError("core", att)
-		}
-		return sol, nil
 	case CNF:
-		cnfOpts := opts.CNFOptions
-		wireCNF(&cnfOpts, opts.Ctx, deadline)
-		wireProgress(reg, nil, nil, &cnfOpts)
-		sol, att := runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
-			s, stats, err := cnfsolver.Solve(sys, cnfOpts)
-			rep.CNFStats = stats
-			emitCNFStats(reg, stats)
-			return s, -1, err
-		})
-		rep.Attempts = append(rep.Attempts, att)
-		if sol == nil {
-			return nil, attemptError("core", att)
-		}
-		return sol, nil
+		sol, att = cnfStage(rep, sys, cnfOptions(opts, deadline), sp)
 	case Portfolio:
 		sol, attempts, err := runPortfolio(rep, sys, opts, deadline, sp)
 		rep.Attempts = attempts
-		if err != nil {
-			return nil, err
-		}
-		return sol, nil
+		return sol, err
+	default:
+		return nil, fmt.Errorf("core: unknown solver kind %d", opts.Solver)
 	}
-	return nil, fmt.Errorf("core: unknown solver kind %d", opts.Solver)
+	rep.Attempts = append(rep.Attempts, att)
+	if sol == nil {
+		return nil, attemptError("core", att)
+	}
+	return sol, nil
 }
 
 // Replay runs the final replay phase on rep.Solution, recording the

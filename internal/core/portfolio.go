@@ -1,28 +1,32 @@
 // Solver portfolio: CLAP ships three decision procedures (the sequential
 // minimal-preemption search, the parallel generate-and-validate pool, and
 // the CNF/CDCL encoding) with complementary strengths — §4 of the paper
-// compares them benchmark by benchmark. The portfolio races all three
-// concurrently under the shared deadline: the first stage to solve cancels
-// the others through the context/deadline interrupt plumbing every solver
-// already honours, so wall time is the fastest stage rather than the sum
-// of a degradation ladder. On machines with fewer cores than stages the
-// start is staggered (see stageGrace) so time-sharing one CPU does not
-// slow the common fast sequential win. When several stages solve before noticing the
-// cancellation, the earliest stage in [sequential, parallel, cnf] order
-// wins, preserving the old ladder's preference for minimal-preemption
-// sequential schedules. A stage that is interrupted, finds nothing, errors,
-// or panics is recorded in the attempt trail — kept in fixed stage order
-// regardless of finish order — so a reproduction that needed a fallback
-// says which stage failed and why. The strictly staged serial ladder
-// survives behind ReproduceOptions.SerialPortfolio for baseline
-// benchmarking and deterministic trails.
+// compares them benchmark by benchmark. The portfolio combines the two
+// that cover every benchmark into a ladder that runs on the caller's
+// goroutine:
+//
+//  1. the sequential search, whose schedules have minimal preemptions
+//     (§4.2), runs for a head start of min(300 ms, a fifth of the
+//     remaining deadline) — long enough for the systems it solves in
+//     milliseconds;
+//  2. CNF, which solves the systems that defeat the sequential search (the
+//     mutual-exclusion spin loops) in milliseconds, gets the rest of the
+//     budget;
+//  3. if CNF fails for a reason other than the shared deadline — a system
+//     above its encoding limit, say — and the head start was cut short,
+//     the sequential search runs again with what remains.
+//
+// The answer therefore does not depend on the number of cores. A step
+// that is interrupted, finds nothing, errors, or panics is recorded in the
+// attempt trail, which ends at the step that solved, so a reproduction
+// that needed a fallback says which step failed and why. The parallel
+// solver is not a step; it stays available as its own SolverKind.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -34,13 +38,16 @@ import (
 	"repro/internal/solver"
 )
 
-// Default per-stage budgets when the caller supplies no deadline: each
-// stage is always bounded so the portfolio can never hang in one stage.
+// Default per-step budgets when the caller supplies no deadline: each
+// step is always bounded so the portfolio can never hang in one step.
 const (
 	defaultSeqBudget = 10 * time.Second
-	defaultParBudget = 30 * time.Second
 	defaultCNFBudget = 60 * time.Second
 )
+
+// seqHeadStart caps the sequential search's first step. A variable only
+// so tests can force the head start to run out.
+var seqHeadStart = 300 * time.Millisecond
 
 // SolverAttempt records one solver stage's outcome in the attempt trail.
 type SolverAttempt struct {
@@ -142,6 +149,32 @@ func runSolverStage(reg *obs.Registry, name string, parent *obs.Span, fn func() 
 	return s, att
 }
 
+// seqStage runs the sequential solver as one attempt, keeping its
+// statistics in rep.
+func seqStage(rep *Reproduction, sys *constraints.System, o solver.Options, sp *obs.Span) (*solver.Solution, SolverAttempt) {
+	reg := rep.Trace.Reg()
+	wireProgress(reg, &o, nil, nil)
+	return runSolverStage(reg, "sequential", sp, func() (*solver.Solution, int, error) {
+		s, stats, err := solver.Solve(sys, o)
+		rep.SeqStats = stats
+		emitSeqStats(reg, stats)
+		return s, boundOf(stats), err
+	})
+}
+
+// cnfStage runs the CNF solver as one attempt, keeping its statistics in
+// rep.
+func cnfStage(rep *Reproduction, sys *constraints.System, o cnfsolver.Options, sp *obs.Span) (*solver.Solution, SolverAttempt) {
+	reg := rep.Trace.Reg()
+	wireProgress(reg, nil, nil, &o)
+	return runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
+		s, stats, err := cnfsolver.Solve(sys, o)
+		rep.CNFStats = stats
+		emitCNFStats(reg, stats)
+		return s, -1, err
+	})
+}
+
 // attemptError turns a failed attempt into the error a single-solver
 // Reproduce call reports. Interrupts pass through typed so callers can
 // distinguish "ran out of budget" from "proved unsatisfiable".
@@ -156,27 +189,41 @@ func attemptError(prefix string, att SolverAttempt) error {
 	return fmt.Errorf("%s: %s solver %s", prefix, att.Solver, att.Outcome)
 }
 
-// wireSeq threads the pipeline context and remaining deadline into a
-// sequential solver's options; an existing tighter bound wins.
-func wireSeq(o *solver.Options, ctx context.Context, deadline time.Time) {
+// seqOptions wires opts.SeqOptions to the pipeline context and the
+// remaining deadline (an existing tighter bound wins), in
+// minimal-preemption mode unless the caller set a bound.
+func seqOptions(opts ReproduceOptions, deadline time.Time) solver.Options {
+	o := opts.SeqOptions
+	if o.MaxPreemptions == 0 {
+		// Default to minimal-preemption mode; an exact zero bound is
+		// available through the solver package directly.
+		o.MaxPreemptions = -1
+	}
 	if o.Ctx == nil {
-		o.Ctx = ctx
+		o.Ctx = opts.Ctx
 	}
 	capBudget(&o.Deadline, remaining(deadline))
+	return o
 }
 
-func wirePar(o *parsolve.Options, ctx context.Context, deadline time.Time) {
+// cnfOptions wires opts.CNFOptions like seqOptions does.
+func cnfOptions(opts ReproduceOptions, deadline time.Time) cnfsolver.Options {
+	o := opts.CNFOptions
 	if o.Ctx == nil {
-		o.Ctx = ctx
+		o.Ctx = opts.Ctx
 	}
 	capBudget(&o.Deadline, remaining(deadline))
+	return o
 }
 
-func wireCNF(o *cnfsolver.Options, ctx context.Context, deadline time.Time) {
+// parOptions wires opts.ParOptions like seqOptions does.
+func parOptions(opts ReproduceOptions, deadline time.Time) parsolve.Options {
+	o := opts.ParOptions
 	if o.Ctx == nil {
-		o.Ctx = ctx
+		o.Ctx = opts.Ctx
 	}
 	capBudget(&o.Deadline, remaining(deadline))
+	return o
 }
 
 // remaining converts an absolute deadline to a duration budget; zero means
@@ -203,68 +250,21 @@ func capBudget(d *time.Duration, budget time.Duration) {
 	}
 }
 
-// cnfRescueSweep builds the sequential solver's RescueSweep hook: one
-// reusable CNF session swept across preemption bounds. The session is
-// created on first use — the hook is only consulted when the bound sweep
-// failed with capped enumerations, so the common fast path never pays for
-// the encoding — and reused across bounds with the over-budget blocks
-// retracted between calls, so learnt clauses and theory lemmas amortize
-// over the whole sweep. The budget is the hosting stage's wall share,
-// anchored when the closure is built: however many bounds the sweep
-// visits, the stage stays inside its original allotment.
-func cnfRescueSweep(sys *constraints.System, base cnfsolver.Options, budget time.Duration) func(int) (*solver.Solution, error) {
-	var sess *cnfsolver.Session
-	var end time.Time
-	if budget > 0 {
-		end = time.Now().Add(budget)
+// headStart is the sequential search's first-step budget: seqHeadStart,
+// shrunk to a fifth of a tight shared deadline so CNF still gets most of
+// it.
+func headStart(deadline time.Time) time.Duration {
+	h := seqHeadStart
+	if rem := remaining(deadline); rem > 0 && rem/5 < h {
+		h = rem / 5
 	}
-	return func(bound int) (*solver.Solution, error) {
-		if !end.IsZero() {
-			rem := time.Until(end)
-			if rem <= 0 {
-				return nil, &solver.Interrupted{Reason: "cnf rescue sweep budget exhausted", Bound: bound}
-			}
-			base.Deadline = rem
-		}
-		if sess == nil {
-			s, err := cnfsolver.NewSession(sys, base)
-			if err != nil {
-				return nil, err
-			}
-			sess = s
-		} else {
-			sess.RetractBlocks()
-		}
-		sess.SetOptions(base)
-		sol, _, err := sess.SolveBounded(bound)
-		if err != nil {
-			return nil, err
-		}
-		return sol, nil
-	}
-}
-
-// stageBudget splits the remaining wall budget: the stage gets a 1/divisor
-// share (so earlier stages leave room for their fallbacks), or the default
-// when no deadline governs the run.
-func stageBudget(deadline time.Time, divisor int64, def time.Duration) time.Duration {
-	rem := remaining(deadline)
-	if rem == 0 {
-		return def
-	}
-	share := rem / time.Duration(divisor)
-	if share <= 0 {
-		share = time.Nanosecond
-	}
-	return share
+	return max(h, time.Nanosecond)
 }
 
 // RunPortfolio runs the solver portfolio directly on a constraint system,
-// honouring opts.Ctx/opts.Deadline: by default the three stages race
-// concurrently and the first solution cancels the rest; with
-// opts.SerialPortfolio they run as the old sequential→parallel→CNF ladder.
-// It returns the winning solution together with the full attempt trail;
-// when every stage fails, the trail explains each stage's exit.
+// honouring opts.Ctx/opts.Deadline. It returns the solution together with
+// the attempt trail; when every step fails, the trail explains each
+// step's exit.
 func RunPortfolio(sys *constraints.System, opts ReproduceOptions) (*solver.Solution, []SolverAttempt, error) {
 	var deadline time.Time
 	if opts.Deadline > 0 {
@@ -276,11 +276,9 @@ func RunPortfolio(sys *constraints.System, opts ReproduceOptions) (*solver.Solut
 		}
 	}
 	rep := &Reproduction{Trace: opts.Obs}
-	if !opts.NoPreprocess {
-		psp := opts.Obs.Root().Start("preprocess")
-		emitPreStats(opts.Obs.Reg(), sys.PreprocessObs(psp))
-		endStage(opts.Obs.Reg(), "preprocess", psp)
-	}
+	psp := opts.Obs.Root().Start("preprocess")
+	emitPreStats(opts.Obs.Reg(), sys.PreprocessObs(psp))
+	endStage(opts.Obs.Reg(), "preprocess", psp)
 	sp := opts.Obs.Root().Start("solve")
 	sp.SetAttr("kind", "portfolio")
 	sol, trail, err := runPortfolio(rep, sys, opts, deadline, sp)
@@ -293,183 +291,57 @@ func RunPortfolio(sys *constraints.System, opts ReproduceOptions) (*solver.Solut
 }
 
 // runPortfolio is RunPortfolio against a caller-owned Reproduction, so the
-// per-stage statistics (SeqStats, Parallel, CNFStats) land in the final
-// report even when the stage that produced them did not solve.
+// per-step statistics (SeqStats, CNFStats) land in the final report even
+// when the step that produced them did not solve.
 func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, []SolverAttempt, error) {
-	if opts.SerialPortfolio {
-		return runPortfolioSerial(rep, sys, opts, deadline, sp)
-	}
-	return runPortfolioRacing(rep, sys, opts, deadline, sp)
-}
-
-// raceGrace is the head start each later portfolio stage concedes when the
-// machine has fewer cores than racing stages.
-const raceGrace = 150 * time.Millisecond
-
-// stageGrace decides how staggered the race starts. With at least one core
-// per stage the stages start together — a true race. With fewer cores the
-// "race" is really time-sharing: three backends splitting one CPU slow the
-// common case, where the sequential solver (first in the preference order,
-// cheapest on small systems) finishes in milliseconds when given the whole
-// machine. Each later stage therefore waits one extra grace period — a
-// quick sequential win cancels the heavyweights before they consume
-// anything, while hard systems still get the full portfolio after a delay
-// that is noise against their solve times. The grace shrinks with a tight
-// shared deadline so a late stage is never denied a meaningful share.
-func stageGrace(deadline time.Time) time.Duration {
-	if runtime.GOMAXPROCS(0) >= 3 {
-		return 0
-	}
-	g := raceGrace
-	if !deadline.IsZero() {
-		if rem := time.Until(deadline) / 10; rem < g {
-			g = rem
-		}
-	}
-	if g < 0 {
-		g = 0
-	}
-	return g
-}
-
-// stageResult carries one racing stage's outcome back to the collector.
-type stageResult struct {
-	idx int
-	sol *solver.Solution
-	att SolverAttempt
-}
-
-// runPortfolioRacing runs the three stages concurrently. Each stage gets
-// the full remaining shared deadline (not a ladder share — the stages no
-// longer queue behind each other), and the per-stage default budgets still
-// apply when the caller set no deadline so no stage can hang the race.
-// The first solution cancels the shared context; losers observe it through
-// their normal interrupt polling and exit as "interrupted" attempts.
-func runPortfolioRacing(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, []SolverAttempt, error) {
-	base := opts.Ctx
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-
-	seqOpts := opts.SeqOptions
-	if seqOpts.MaxPreemptions == 0 {
-		seqOpts.MaxPreemptions = -1
-	}
-	wireSeq(&seqOpts, ctx, deadline)
-	if deadline.IsZero() {
-		capBudget(&seqOpts.Deadline, defaultSeqBudget)
-	}
-
-	parOpts := opts.ParOptions
-	wirePar(&parOpts, ctx, deadline)
-	if deadline.IsZero() {
-		capBudget(&parOpts.Deadline, defaultParBudget)
-	}
-
-	cnfOpts := opts.CNFOptions
-	wireCNF(&cnfOpts, ctx, deadline)
-	if deadline.IsZero() {
-		capBudget(&cnfOpts.Deadline, defaultCNFBudget)
-	}
-
-	// The sequential stage's rescue pass sweeps bounds through a reusable
-	// CNF session before falling back to escalated enumeration. Wired from
-	// the pre-Progress cnfOpts copy so the rescue session does not publish
-	// to the racing CNF stage's gauge family.
-	if seqOpts.RescueSweep == nil {
-		seqOpts.RescueSweep = cnfRescueSweep(sys, cnfOpts, seqOpts.Deadline)
-	}
-
-	// The racing stages publish to disjoint gauge families, so one shared
-	// registry serves all three concurrently.
-	reg := rep.Trace.Reg()
-	wireProgress(reg, &seqOpts, &parOpts, &cnfOpts)
-
-	// The stage index doubles as the tie-break priority: the serial
-	// ladder's order is the preference order among simultaneous solvers.
-	stages := []struct {
-		name string
-		run  func() (*solver.Solution, int, error)
-	}{
-		{"sequential", func() (*solver.Solution, int, error) {
-			s, stats, err := solver.Solve(sys, seqOpts)
-			rep.SeqStats = stats
-			emitSeqStats(reg, stats)
-			return s, boundOf(stats), err
-		}},
-		{"parallel", func() (*solver.Solution, int, error) {
-			res, err := parsolve.Solve(sys, parOpts)
-			rep.Parallel = res
-			emitParResult(reg, res)
-			if err != nil {
-				return nil, -1, err
-			}
-			if !res.Found() {
-				return nil, res.Bound, parallelFailure(res)
-			}
-			return bestSolution(res), res.Bound, nil
-		}},
-		{"cnf", func() (*solver.Solution, int, error) {
-			s, stats, err := cnfsolver.Solve(sys, cnfOpts)
-			rep.CNFStats = stats
-			emitCNFStats(reg, stats)
-			return s, -1, err
-		}},
-	}
-
-	grace := stageGrace(deadline)
-	results := make(chan stageResult, len(stages))
-	for i := range stages {
-		go func(i int) {
-			if d := time.Duration(i) * grace; d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					// The stage never ran, but it still gets a span: a
-					// trace of a cut-short race shows every stage's fate.
-					asp := sp.Start("solve." + stages[i].name)
-					asp.SetAttr("outcome", "interrupted")
-					asp.SetAttr("err", "cancelled before start")
-					asp.End()
-					results <- stageResult{idx: i, att: SolverAttempt{
-						Solver:       stages[i].name,
-						Outcome:      "interrupted",
-						Err:          "cancelled before start",
-						BoundReached: -1,
-					}}
-					return
-				case <-t.C:
-				}
-			}
-			sol, att := runSolverStage(reg, stages[i].name, sp, stages[i].run)
-			results <- stageResult{idx: i, sol: sol, att: att}
-		}(i)
-	}
-
-	trail := make([]SolverAttempt, len(stages))
-	var winner *solver.Solution
-	winIdx := -1
-	for n := 0; n < len(stages); n++ {
-		r := <-results
-		trail[r.idx] = r.att
-		if r.sol != nil && (winIdx == -1 || r.idx < winIdx) {
-			winner, winIdx = r.sol, r.idx
-			cancel() // first success: stop the losing stages
-		}
-	}
-	if winner != nil {
-		return winner, trail, nil
+	seqOpts := seqOptions(opts, deadline)
+	capBudget(&seqOpts.Deadline, headStart(deadline))
+	sol, att := seqStage(rep, sys, seqOpts, sp)
+	trail := []SolverAttempt{att}
+	if sol != nil {
+		return sol, trail, nil
 	}
 	if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
 		return nil, trail, err
 	}
-	// No shared budget expired, but a stage may have exhausted its own:
-	// surface that interrupt typed so "ran out of time" in every stage is
-	// not mistaken for a proof that no schedule exists.
-	for _, a := range trail {
+	resume := att.Outcome == "interrupted"
+
+	cnfOpts := cnfOptions(opts, deadline)
+	if deadline.IsZero() {
+		capBudget(&cnfOpts.Deadline, defaultCNFBudget)
+	}
+	sol, att = cnfStage(rep, sys, cnfOpts, sp)
+	trail = append(trail, att)
+	if sol != nil {
+		return sol, trail, nil
+	}
+	if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
+		return nil, trail, err
+	}
+
+	if resume {
+		seqOpts = seqOptions(opts, deadline)
+		if deadline.IsZero() {
+			capBudget(&seqOpts.Deadline, defaultSeqBudget)
+		}
+		sol, att = seqStage(rep, sys, seqOpts, sp)
+		trail = append(trail, att)
+		if sol != nil {
+			return sol, trail, nil
+		}
+		if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
+			return nil, trail, err
+		}
+	}
+	// No shared budget expired, but a step may have exhausted its own:
+	// surface that interrupt typed so "ran out of time" is not mistaken
+	// for a proof that no schedule exists. A resumed sequential step
+	// supersedes the head start it resumed.
+	final := trail
+	if resume {
+		final = trail[1:]
+	}
+	for _, a := range final {
 		var intr *solver.Interrupted
 		if a.err != nil && errors.As(a.err, &intr) {
 			return nil, trail, fmt.Errorf("core: portfolio exhausted (%s): %w", trailSummary(trail), intr)
@@ -478,85 +350,8 @@ func runPortfolioRacing(rep *Reproduction, sys *constraints.System, opts Reprodu
 	return nil, trail, fmt.Errorf("core: portfolio exhausted: %s", trailSummary(trail))
 }
 
-// runPortfolioSerial is the pre-racing degradation ladder: sequential under
-// a budget share, then parallel, then CNF, each stage starting only after
-// the previous one gave up.
-func runPortfolioSerial(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, []SolverAttempt, error) {
-	var attempts []SolverAttempt
-	reg := rep.Trace.Reg()
-
-	// Stage 1: sequential, minimal preemptions, under a budget share.
-	seqOpts := opts.SeqOptions
-	if seqOpts.MaxPreemptions == 0 {
-		seqOpts.MaxPreemptions = -1
-	}
-	wireSeq(&seqOpts, opts.Ctx, deadline)
-	capBudget(&seqOpts.Deadline, stageBudget(deadline, 4, defaultSeqBudget))
-	if seqOpts.RescueSweep == nil {
-		rescueCNF := opts.CNFOptions
-		wireCNF(&rescueCNF, opts.Ctx, deadline)
-		seqOpts.RescueSweep = cnfRescueSweep(sys, rescueCNF, seqOpts.Deadline)
-	}
-	wireProgress(reg, &seqOpts, nil, nil)
-	sol, att := runSolverStage(reg, "sequential", sp, func() (*solver.Solution, int, error) {
-		s, stats, err := solver.Solve(sys, seqOpts)
-		rep.SeqStats = stats
-		emitSeqStats(reg, stats)
-		return s, boundOf(stats), err
-	})
-	attempts = append(attempts, att)
-	if sol != nil {
-		return sol, attempts, nil
-	}
-	if err := portfolioCut(opts.Ctx, deadline, attempts); err != nil {
-		return nil, attempts, err
-	}
-
-	// Stage 2: parallel generate-and-validate with half the time left.
-	parOpts := opts.ParOptions
-	wirePar(&parOpts, opts.Ctx, deadline)
-	capBudget(&parOpts.Deadline, stageBudget(deadline, 2, defaultParBudget))
-	wireProgress(reg, nil, &parOpts, nil)
-	sol, att = runSolverStage(reg, "parallel", sp, func() (*solver.Solution, int, error) {
-		res, err := parsolve.Solve(sys, parOpts)
-		rep.Parallel = res
-		emitParResult(reg, res)
-		if err != nil {
-			return nil, -1, err
-		}
-		if !res.Found() {
-			return nil, res.Bound, parallelFailure(res)
-		}
-		return bestSolution(res), res.Bound, nil
-	})
-	attempts = append(attempts, att)
-	if sol != nil {
-		return sol, attempts, nil
-	}
-	if err := portfolioCut(opts.Ctx, deadline, attempts); err != nil {
-		return nil, attempts, err
-	}
-
-	// Stage 3: CNF/CDCL with everything that remains.
-	cnfOpts := opts.CNFOptions
-	wireCNF(&cnfOpts, opts.Ctx, deadline)
-	capBudget(&cnfOpts.Deadline, stageBudget(deadline, 1, defaultCNFBudget))
-	wireProgress(reg, nil, nil, &cnfOpts)
-	sol, att = runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
-		s, stats, err := cnfsolver.Solve(sys, cnfOpts)
-		rep.CNFStats = stats
-		emitCNFStats(reg, stats)
-		return s, -1, err
-	})
-	attempts = append(attempts, att)
-	if sol != nil {
-		return sol, attempts, nil
-	}
-	return nil, attempts, fmt.Errorf("core: portfolio exhausted: %s", trailSummary(attempts))
-}
-
 // portfolioCut reports a typed interrupt when the shared budget ran out
-// between stages, so an exhausted portfolio is not mistaken for unsat.
+// between steps, so an exhausted portfolio is not mistaken for unsat.
 func portfolioCut(ctx context.Context, deadline time.Time, attempts []SolverAttempt) error {
 	if !huntInterrupted(ctx, deadline) {
 		return nil

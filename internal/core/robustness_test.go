@@ -1,12 +1,13 @@
 // Deadline, cancellation and portfolio behaviour of the pipeline entry
 // points: no phase may hang past its budget, interrupted runs must return
 // partial diagnostics, and injected solver failures must degrade to the
-// next portfolio stage.
+// next portfolio step.
 package core
 
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,58 +183,6 @@ func TestReproduceCNFKind(t *testing.T) {
 	}
 }
 
-// TestPortfolioRacesAllStages pins the concurrent portfolio's contract:
-// every stage appears in the trail in fixed ladder order no matter which
-// finished first, and at least one of them solved.
-func TestPortfolioRacesAllStages(t *testing.T) {
-	rec := recordLostUpdate(t)
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("portfolio did not reproduce")
-	}
-	want := []string{"sequential", "parallel", "cnf"}
-	if len(rep.Attempts) != len(want) {
-		t.Fatalf("racing portfolio should record all three stages: %+v", rep.Attempts)
-	}
-	solved := 0
-	for i, a := range rep.Attempts {
-		if a.Solver != want[i] {
-			t.Fatalf("attempt %d: want stage %q in the trail, got %+v", i, want[i], rep.Attempts)
-		}
-		if a.Outcome == "solved" {
-			solved++
-		}
-	}
-	if solved == 0 {
-		t.Fatalf("no stage solved: %+v", rep.Attempts)
-	}
-	if rep.SeqStats == nil {
-		t.Fatal("sequential stats missing from the report")
-	}
-}
-
-// TestPortfolioSerialPrefersSequential keeps the old ladder pinned: in
-// serial mode a healthy portfolio stops at the sequential stage.
-func TestPortfolioSerialPrefersSequential(t *testing.T) {
-	rec := recordLostUpdate(t)
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, SerialPortfolio: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("serial portfolio did not reproduce")
-	}
-	if len(rep.Attempts) != 1 || rep.Attempts[0].Solver != "sequential" {
-		t.Fatalf("healthy serial portfolio should stop at the sequential stage: %+v", rep.Attempts)
-	}
-	if rep.SeqStats == nil {
-		t.Fatal("sequential stats missing from the report")
-	}
-}
-
 func TestPortfolioFallsBackOnInjectedFailure(t *testing.T) {
 	rec := recordLostUpdate(t)
 	faultinject.Fail("solver.sequential")
@@ -245,32 +194,75 @@ func TestPortfolioFallsBackOnInjectedFailure(t *testing.T) {
 	if !rep.Outcome.Reproduced {
 		t.Fatal("portfolio did not reproduce via fallback")
 	}
-	if len(rep.Attempts) < 2 || rep.Attempts[0].Outcome != "fault injected" {
-		t.Fatalf("attempt trail: %+v", rep.Attempts)
-	}
-	if rep.Attempts[1].Solver != "parallel" {
-		t.Fatalf("second stage should be parallel: %+v", rep.Attempts)
+	if got := trailOf(rep.Attempts); got != "sequential fault injected, cnf solved" {
+		t.Fatalf("attempt trail: %s", got)
 	}
 }
 
 func TestPortfolioAllStagesFail(t *testing.T) {
 	rec := recordLostUpdate(t)
-	faultinject.Fail("solver.sequential")
-	faultinject.Fail("solver.parallel")
-	faultinject.Fail("solver.cnf")
-	defer faultinject.Reset()
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio})
-	if err == nil {
-		t.Fatal("all stages injected to fail, yet the portfolio succeeded")
-	}
-	if rep == nil || len(rep.Attempts) != 3 {
-		t.Fatalf("want a 3-entry attempt trail, got %+v", rep)
-	}
-	for _, a := range rep.Attempts {
-		if a.Outcome != "fault injected" {
-			t.Fatalf("attempt %+v should be fault injected", a)
+	defer func(h time.Duration) { seqHeadStart = h }(seqHeadStart)
+	for _, tc := range []struct {
+		headStart time.Duration
+		seqFault  faultinject.Failure
+		want      string
+	}{
+		// A head start that ended for a reason other than its budget is
+		// not resumed after CNF fails.
+		{seqHeadStart, faultinject.Failure{}, "sequential fault injected, cnf fault injected"},
+		// A head start that ran out is resumed; the resumed step's
+		// failure supersedes the head start's interrupt.
+		{time.Nanosecond, faultinject.Failure{After: 1}, "sequential interrupted, cnf fault injected, sequential fault injected"},
+	} {
+		seqHeadStart = tc.headStart
+		faultinject.Enable("solver.sequential", tc.seqFault)
+		faultinject.Fail("solver.cnf")
+		rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Deadline: time.Minute})
+		faultinject.Reset()
+		if err == nil {
+			t.Fatal("all steps injected to fail, yet the portfolio succeeded")
+		}
+		var intr *solver.Interrupted
+		if errors.As(err, &intr) {
+			t.Fatalf("no final step was interrupted, yet the error is typed as one: %v", err)
+		}
+		if rep == nil {
+			t.Fatal("failed portfolio returned no partial diagnostics")
+		}
+		if got := trailOf(rep.Attempts); got != tc.want {
+			t.Fatalf("attempt trail: %s, want %s", got, tc.want)
 		}
 	}
+}
+
+// TestPortfolioResumesSequential drives the ladder's third step: the
+// sequential head start runs out, CNF fails before the deadline, and the
+// sequential search runs again with the remaining budget and solves.
+func TestPortfolioResumesSequential(t *testing.T) {
+	rec := recordLostUpdate(t)
+	defer func(h time.Duration) { seqHeadStart = h }(seqHeadStart)
+	seqHeadStart = time.Nanosecond
+	faultinject.Fail("solver.cnf")
+	defer faultinject.Reset()
+	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Outcome.Reproduced {
+		t.Fatal("resumed sequential step did not reproduce")
+	}
+	if got := trailOf(rep.Attempts); got != "sequential interrupted, cnf fault injected, sequential solved" {
+		t.Fatalf("attempt trail: %s", got)
+	}
+}
+
+// trailOf renders an attempt trail as "solver outcome" pairs.
+func trailOf(attempts []SolverAttempt) string {
+	parts := make([]string, len(attempts))
+	for i, a := range attempts {
+		parts[i] = a.Solver + " " + a.Outcome
+	}
+	return strings.Join(parts, ", ")
 }
 
 func TestRunPortfolioDirect(t *testing.T) {

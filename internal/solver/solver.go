@@ -76,17 +76,6 @@ type Options struct {
 	// bounds exactly where the budgeted mapping search may thrash. Default
 	// 2_000_000 candidates; negative disables the pass.
 	GenEscalateBudget int
-	// RescueSweep, when set, is consulted by the minimal-mode rescue pass
-	// before the escalated enumeration: it is called once per
-	// still-undecided preemption bound, in ascending order, and should
-	// return a schedule with at most that many preemptions. Only a
-	// returned schedule is trusted; a nil result (with or without error)
-	// is inconclusive and the escalated enumerator still decides the
-	// bound. The portfolio wires the CNF session's bounded sweep (one
-	// reusable encoded session, retractable bound blocks) through this
-	// hook; the function value inverts the dependency, since cnfsolver
-	// imports this package.
-	RescueSweep func(bound int) (*Solution, error)
 	// BoundDecisionBudget caps mapping-search decisions per bound in
 	// minimal mode (default 60_000): rather than prove an infeasible low
 	// bound unsatisfiable exhaustively, the sweep moves on — minimality
@@ -235,14 +224,6 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 			}
 			s.bound = c
 			s.stats.BoundReached = c
-			if opts.RescueSweep != nil {
-				if sol, err := opts.RescueSweep(c); err == nil && sol != nil {
-					return sol, s.stats, nil
-				}
-				// Nothing found (or the backend failed): inconclusive — the
-				// sweep is an approximation, so only the enumerator below
-				// can prove the bound empty.
-			}
 			sol, decided := s.tryGenerate(c, genLimits{
 				MaxSchedules: opts.GenEscalateBudget,
 				MaxCSPSets:   10_000_000,
