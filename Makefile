@@ -4,9 +4,9 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS := FuzzDecodePathLog FuzzDecodePathLogSalvage \
 	FuzzDecodeAccessVectorLog FuzzDecodeSyncOrderLog
 
-.PHONY: ci lint vet fmt-check build test e2ebench-check fuzz-smoke bench \
-	bench-compare bench-gate vet-examples races-examples race-obs \
-	metrics-smoke timeline-smoke serve-smoke
+.PHONY: ci lint vet fmt-check build test e2ebench-check fuzz-smoke \
+	bench-gate vet-examples races-examples race-obs metrics-smoke \
+	timeline-smoke serve-smoke
 
 ci: lint build test e2ebench-check vet-examples races-examples fuzz-smoke race-obs metrics-smoke timeline-smoke serve-smoke bench-gate
 
@@ -51,18 +51,6 @@ test:
 # to an API it calls fails here rather than when the benchmark runs.
 e2ebench-check:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
-
-# Machine-readable per-stage perf snapshot over the paper's eleven
-# benchmarks (BENCH_<date>T<hhmmss>.json — timestamped so two same-day
-# runs never clobber); see cmd/benchjson.
-bench:
-	$(GO) run ./cmd/benchjson
-
-# Diff two committed snapshots: per-benchmark per-stage speedup table,
-# non-zero exit when any stage measured in both regressed >10% ns/op.
-# Usage: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
 
 # CI smoke gate for the lazy-transitivity CNF core: solve the
 # historically slowest benchmarks (including symbolic-address racey,

@@ -62,9 +62,9 @@
 //	-salvage            decodelog: recover the longest valid prefix from a
 //	                    truncated or corrupt log instead of failing
 //	-simplify           post-process the schedule to fewer preemptions
-//	-cache DIR          reproduce/bench: reuse preprocess snapshots and
-//	                    solved schedules from the content-addressed cache
-//	                    at DIR (created if missing; clear with rm -rf)
+//	-cache DIR          reproduce/bench: reuse solved schedules from the
+//	                    content-addressed cache at DIR, re-validated
+//	                    before use (created if missing; clear with rm -rf)
 //	-dump-constraints   print the constraint system after solving
 //	-metrics-json FILE  write the pipeline's span tree and metric registry
 //	                    as JSON (written even when the run fails)

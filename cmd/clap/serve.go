@@ -153,15 +153,16 @@ func cmdServe(rest []string, f flags) error {
 		return err
 	}
 	// The ready line carries the bound address (ports may be ephemeral)
-	// and is what scripts wait for before ingesting.
+	// and is what scripts wait for before ingesting or signalling, so the
+	// signal handler is installed before it is printed.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	fmt.Printf("clapd listening on http://%s (state in %s)\n", ln.Addr(), sf.dir)
 
 	srv := &http.Server{Handler: d.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		fmt.Fprintln(os.Stderr, "clap: signal received, draining")

@@ -31,14 +31,11 @@ func TestObsNamesStable(t *testing.T) {
 			"solver.cnf.blocks.mapping",
 			"solver.cnf.session.solves", "solver.cnf.session.reuse",
 			"sat.solves", "sat.restarts", "sat.learnts",
-			// Stage latency histograms, pipeline and benchjson flavors.
+			// Stage latency histograms.
 			"stage.record.ns", "stage.symexec.ns", "stage.preprocess.ns",
 			"stage.solve.ns", "stage.replay.ns",
 			"stage.solve.sequential.ns", "stage.solve.parallel.ns",
 			"stage.solve.cnf.ns",
-			"stage.bench.build.ns", "stage.bench.preprocess.ns",
-			"stage.bench.sequential.ns", "stage.bench.parsolve.ns",
-			"stage.bench.cnf.ns",
 			// Daemon fleet metrics.
 			"clapd.queue.depth", "clapd.workers.busy", "clapd.job.ns",
 		} {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/obs"
 	"repro/internal/parsolve"
 	"repro/internal/solver"
 	"repro/internal/vm"
@@ -27,12 +26,6 @@ type Prepared struct {
 	System    *constraints.System
 	Stats     constraints.Stats
 	Symbolic  time.Duration
-
-	// Lat, when set, receives each timed stage iteration's wall time in
-	// the stage.bench.<stage>.ns histograms. cmd/benchjson attaches a
-	// registry here so its reports carry latency distributions; the
-	// go-test benchmark path leaves it nil and pays nothing.
-	Lat *obs.Registry
 }
 
 // Prepare compiles, records a failing run and builds the constraint system.
@@ -62,6 +55,23 @@ func Prepare(b Benchmark) (*Prepared, error) {
 		Stats:     sys.ComputeStats(),
 		Symbolic:  time.Since(t0),
 	}, nil
+}
+
+// StageDeadline bounds each solve the bench tests time, so a regression
+// shows up as an interrupted solve instead of a hung test run.
+const StageDeadline = 60 * time.Second
+
+// FreshSystem builds a preprocessed constraint system from the prepared
+// recording. Callers take their own system rather than sharing p.System
+// because Preprocess mutates the system in place (candidate pruning) and
+// the Table benchmarks measure the un-preprocessed build.
+func FreshSystem(p *Prepared) (*constraints.System, error) {
+	sys, err := p.Recording.Analyze()
+	if err != nil {
+		return nil, err
+	}
+	sys.Preprocess()
+	return sys, nil
 }
 
 // Table1Row is one line of the paper's Table 1.

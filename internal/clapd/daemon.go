@@ -41,10 +41,10 @@ type Config struct {
 	// RetryBase·2ⁿ⁻¹ (capped at 64×) plus ≤50% deterministic jitter
 	// (default 500ms; tests use ~1ms).
 	RetryBase time.Duration
-	// CacheDir is the content-addressed artifact cache directory shared
-	// by job executions: preprocess snapshots and solved schedules are
-	// keyed by bundle digest, so a retry (or a re-upload after the store
-	// was pruned) skips straight to the cached schedule's re-validation.
+	// CacheDir is the content-addressed schedule cache directory shared
+	// by job executions: solved schedules are keyed by bundle digest, so
+	// a retry (or a re-upload after the store was pruned) re-validates
+	// the cached schedule instead of solving again.
 	// Default: "cache" under Dir. Set to "-" to disable caching.
 	CacheDir string
 	// Obs receives the daemon's spans and clapd.* counters (one trace
@@ -107,7 +107,7 @@ type Daemon struct {
 	journal *Journal
 	tr      *obs.Trace
 	log     *EventLog
-	// cache is the cross-attempt artifact cache (nil when disabled); see
+	// cache is the cross-attempt schedule cache (nil when disabled); see
 	// Config.CacheDir.
 	cache *core.DiskCache
 

@@ -272,8 +272,8 @@ func (d *Daemon) execute(digest string, attempt int) (res *Result, err error) {
 		// The bundle digest keys the artifact cache, so the daemon's
 		// dedupe address and the cache address coincide: a retry of this
 		// digest (attempt 2 after a crash, or a re-upload after store
-		// pruning) reuses the preprocess snapshot and re-validates the
-		// previously solved schedule instead of solving again.
+		// pruning) re-validates the previously solved schedule instead
+		// of solving again.
 		Cache:    d.cache,
 		CacheKey: digest,
 	})

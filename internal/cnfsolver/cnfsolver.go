@@ -44,6 +44,15 @@ import (
 	"repro/internal/trace"
 )
 
+// Refinement budgets per Solve call. Each lazy or address round adds at
+// least one lemma, so both loops converge; the bounds guard pathological
+// instances. Address-split rounds re-aim symbolic addresses rather than
+// reject a mapping, so they do not consume Options.MaxTheoryRounds.
+const (
+	maxLazyRounds = 5000 // transitivity (cycle-lemma) rounds
+	maxAddrRounds = 5000 // address-split rounds
+)
+
 // Options tunes the CNF backend.
 type Options struct {
 	// MaxSAPs refuses systems too large to encode. The default depends on
@@ -54,15 +63,6 @@ type Options struct {
 	// MaxTheoryRounds bounds the lazy-refinement loop over value theory
 	// rejections (default 200).
 	MaxTheoryRounds int
-	// MaxLazyRounds bounds the inner transitivity-refinement loop per
-	// Solve call (default 5000). Each round adds at least one cycle lemma,
-	// so the loop converges; the bound guards pathological instances.
-	MaxLazyRounds int
-	// MaxAddrRounds bounds the address-split refinement loop per Solve
-	// call (default 5000). Like the transitivity rounds these have their
-	// own budget: they re-aim symbolic addresses rather than reject a
-	// mapping, so they do not consume MaxTheoryRounds.
-	MaxAddrRounds int
 	// EagerTransitivity restores the all-triples O(n³) transitivity
 	// encoding (the paper's faithful reference shape). Address-split
 	// refinement runs in both encodings, so symbolic-address systems
@@ -85,12 +85,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxTheoryRounds == 0 {
 		o.MaxTheoryRounds = 200
-	}
-	if o.MaxLazyRounds == 0 {
-		o.MaxLazyRounds = 5000
-	}
-	if o.MaxAddrRounds == 0 {
-		o.MaxAddrRounds = 5000
 	}
 }
 
@@ -325,9 +319,9 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 			if added := e.refineAcyclic(); added > 0 {
 				st.LazyRounds++
 				st.LazyLemmas += int64(added)
-				if lazyThisCall++; lazyThisCall > opts.MaxLazyRounds {
+				if lazyThisCall++; lazyThisCall > maxLazyRounds {
 					sess.refresh()
-					return nil, st, fmt.Errorf("cnfsolver: transitivity refinement did not converge in %d rounds", opts.MaxLazyRounds)
+					return nil, st, fmt.Errorf("cnfsolver: transitivity refinement did not converge in %d rounds", maxLazyRounds)
 				}
 				continue
 			}
@@ -352,9 +346,9 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 			if added > 0 {
 				st.AddrRounds++
 				st.AddrLemmas += int64(added)
-				if addrThisCall++; addrThisCall > opts.MaxAddrRounds {
+				if addrThisCall++; addrThisCall > maxAddrRounds {
 					sess.refresh()
-					return nil, st, fmt.Errorf("cnfsolver: address-split refinement did not converge in %d rounds", opts.MaxAddrRounds)
+					return nil, st, fmt.Errorf("cnfsolver: address-split refinement did not converge in %d rounds", maxAddrRounds)
 				}
 				continue
 			}

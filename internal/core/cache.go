@@ -21,11 +21,11 @@ import (
 // /1 sessions are no longer comparable attempt-for-attempt.
 const CacheSchema = "clap-cache/2"
 
-// DiskCache is a content-addressed on-disk cache of reproduction
-// artifacts: the preprocessing snapshot and the solved schedule, keyed by
-// a recording content hash (Recording.ContentKey, or the caller's own
-// digest — clapd passes its bundle digest so the daemon's dedupe and the
-// cache share one address space).
+// DiskCache is a content-addressed on-disk cache of solved schedules,
+// keyed by a recording content hash (Recording.ContentKey, or the
+// caller's own digest — clapd passes its bundle digest so the daemon's
+// dedupe and the cache share one address space). Preprocessing is not
+// cached: the pass costs less than loading a stored result would.
 //
 // Every operation is best-effort: a missing, unreadable or stale entry is
 // a miss, a failed write is ignored. Correctness never depends on the
@@ -49,11 +49,6 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 		return nil, fmt.Errorf("core: create cache dir: %w", err)
 	}
 	return &DiskCache{Dir: dir}, nil
-}
-
-type cachedPre struct {
-	Schema   string                   `json:"schema"`
-	Snapshot *constraints.PreSnapshot `json:"snapshot"`
 }
 
 type cachedSchedule struct {
@@ -99,24 +94,6 @@ func (c *DiskCache) store(key, kind string, v any) {
 	if os.Rename(name, c.path(key, kind)) != nil {
 		os.Remove(name)
 	}
-}
-
-// LoadPreprocess returns the cached preprocessing snapshot for key, or
-// nil on a miss.
-func (c *DiskCache) LoadPreprocess(key string) *constraints.PreSnapshot {
-	var e cachedPre
-	if !c.load(key, "pre", &e) || e.Schema != CacheSchema {
-		return nil
-	}
-	return e.Snapshot
-}
-
-// StorePreprocess saves a preprocessing snapshot under key (best-effort).
-func (c *DiskCache) StorePreprocess(key string, snap *constraints.PreSnapshot) {
-	if snap == nil {
-		return
-	}
-	c.store(key, "pre", &cachedPre{Schema: CacheSchema, Snapshot: snap})
 }
 
 // LoadSchedule returns the cached schedule order for key (and the solver

@@ -76,8 +76,8 @@ func TestDiskCacheHitAndMiss(t *testing.T) {
 
 	rec := recordSrc(t, cacheSrc, vm.SC)
 	hit, miss, attempts := cacheCounters(t, rec, cache)
-	if hit != 0 || miss != 2 {
-		t.Fatalf("cold run: hit=%d miss=%d, want 0/2", hit, miss)
+	if hit != 0 || miss != 1 {
+		t.Fatalf("cold run: hit=%d miss=%d, want 0/1", hit, miss)
 	}
 	for _, a := range attempts {
 		if a.Solver == "cache" {
@@ -86,18 +86,18 @@ func TestDiskCacheHitAndMiss(t *testing.T) {
 	}
 
 	// A fresh recording of the same program lands on the same content key
-	// and must be served from the cache: preprocess snapshot + schedule.
+	// and must be served its schedule from the cache.
 	rec2 := recordSrc(t, cacheSrc, vm.SC)
 	hit, miss, attempts = cacheCounters(t, rec2, cache)
-	if hit != 2 || miss != 0 {
-		t.Fatalf("warm run: hit=%d miss=%d, want 2/0", hit, miss)
+	if hit != 1 || miss != 0 {
+		t.Fatalf("warm run: hit=%d miss=%d, want 1/0", hit, miss)
 	}
 	if len(attempts) == 0 || attempts[len(attempts)-1].Solver != "cache" {
 		t.Fatalf("warm run attempts = %+v, want a final cache attempt", attempts)
 	}
 
 	// Corrupt every cache entry: the pipeline must fall back to solving
-	// and re-store good entries.
+	// and re-store a good entry.
 	ents, err := os.ReadDir(cache.Dir)
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +110,12 @@ func TestDiskCacheHitAndMiss(t *testing.T) {
 		}
 	}
 	hit, miss, _ = cacheCounters(t, recordSrc(t, cacheSrc, vm.SC), cache)
-	if hit != 0 || miss != 2 {
-		t.Fatalf("corrupted run: hit=%d miss=%d, want 0/2", hit, miss)
+	if hit != 0 || miss != 1 {
+		t.Fatalf("corrupted run: hit=%d miss=%d, want 0/1", hit, miss)
 	}
 	hit, miss, _ = cacheCounters(t, recordSrc(t, cacheSrc, vm.SC), cache)
-	if hit != 2 || miss != 0 {
-		t.Fatalf("repaired run: hit=%d miss=%d, want 2/0", hit, miss)
+	if hit != 1 || miss != 0 {
+		t.Fatalf("repaired run: hit=%d miss=%d, want 1/0", hit, miss)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestCachedScheduleRevalidated(t *testing.T) {
 	cache.StoreSchedule(key, []constraints.SAPRef{0, 1, 2}, "bogus")
 
 	hit, miss, attempts := cacheCounters(t, rec, cache)
-	if hit != 0 || miss != 2 {
-		t.Fatalf("bogus entry: hit=%d miss=%d, want 0/2", hit, miss)
+	if hit != 0 || miss != 1 {
+		t.Fatalf("bogus entry: hit=%d miss=%d, want 0/1", hit, miss)
 	}
 	for _, a := range attempts {
 		if a.Solver == "cache" {

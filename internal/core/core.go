@@ -445,9 +445,9 @@ type ReproduceOptions struct {
 	// CaptureReplay collects the replay's visible events into
 	// Outcome.Events — the replay lane of the flight-recorder timeline.
 	CaptureReplay bool
-	// Cache, when set, is the content-addressed artifact cache: the
-	// preprocessing snapshot and the solved schedule are loaded from (and
-	// stored to) it under CacheKey. Cached schedules are re-validated
+	// Cache, when set, is the content-addressed schedule cache: the
+	// solved schedule is loaded from (and stored to) it under CacheKey.
+	// Preprocessing always runs. A cached schedule is re-validated
 	// against the freshly built system before being trusted, so a stale
 	// entry degrades to a normal solve rather than a wrong answer. Hits
 	// and misses are counted as core.cache.{hit,miss}.
@@ -544,30 +544,15 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 	rep.System = sys
 	rep.Stats = sys.ComputeStats()
 	emitConstraintStats(tr.Reg(), rep.Stats)
+	psp := tr.Root().Start("preprocess")
+	emitPreStats(tr.Reg(), sys.PreprocessObs(psp))
+	endStage(tr.Reg(), "preprocess", psp)
 	cacheKey := ""
 	if opts.Cache != nil {
 		if cacheKey = opts.CacheKey; cacheKey == "" {
 			cacheKey = rec.ContentKey()
 		}
 	}
-	psp := tr.Root().Start("preprocess")
-	applied := false
-	if opts.Cache != nil {
-		if snap := opts.Cache.LoadPreprocess(cacheKey); snap != nil && sys.ApplySnapshot(snap) {
-			tr.Reg().Counter("core.cache.hit").Add(1)
-			psp.SetAttr("cache", "hit")
-			emitPreStats(tr.Reg(), sys.Pre)
-			applied = true
-		}
-	}
-	if !applied {
-		emitPreStats(tr.Reg(), sys.PreprocessObs(psp))
-		if opts.Cache != nil {
-			tr.Reg().Counter("core.cache.miss").Add(1)
-			opts.Cache.StorePreprocess(cacheKey, sys.Snapshot())
-		}
-	}
-	endStage(tr.Reg(), "preprocess", psp)
 
 	slv := tr.Root().Start("solve")
 	slv.SetAttr("kind", opts.Solver.String())

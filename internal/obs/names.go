@@ -1,10 +1,9 @@
 package obs
 
 // Stable metric names. These dotted names are the public schema of the
-// metrics report: cmd/benchjson emits them next to stage timings and the
-// pin test in internal/bench fails if the pipeline ever emits a name not
-// listed here. Add new names deliberately; never reuse one with a
-// different meaning.
+// metrics report and of /metrics: the pin test in internal/bench fails if
+// the pipeline ever emits a name not listed here. Add new names
+// deliberately; never reuse one with a different meaning.
 //
 // Convention: <phase>.<noun>[.<qualifier>]. Counters accumulate (Add),
 // gauges hold the latest live value (Set) — the solver.* metrics are
@@ -85,8 +84,7 @@ var StableNames = []string{
 
 	// Stage latency histograms: one observation per stage execution, in
 	// nanoseconds over the fixed exponential buckets (histogram.go). The
-	// stage.solve.<backend> family times individual portfolio attempts;
-	// stage.bench.* carries benchjson's per-iteration stage latencies.
+	// stage.solve.<backend> family times individual portfolio attempts.
 	"stage.record.ns",
 	"stage.symexec.ns",
 	"stage.preprocess.ns",
@@ -95,14 +93,9 @@ var StableNames = []string{
 	"stage.solve.sequential.ns",
 	"stage.solve.parallel.ns",
 	"stage.solve.cnf.ns",
-	"stage.bench.build.ns",
-	"stage.bench.preprocess.ns",
-	"stage.bench.sequential.ns",
-	"stage.bench.parsolve.ns",
-	"stage.bench.cnf.ns",
 
-	// Content-addressed artifact cache (core.DiskCache): one hit or miss
-	// per cached artifact consulted (preprocess snapshot, schedule).
+	// Content-addressed schedule cache (core.DiskCache): one hit or miss
+	// per cached reproduction.
 	"core.cache.hit",
 	"core.cache.miss",
 

@@ -54,7 +54,7 @@ func (s *search) extendSchedules(sink func(order []constraints.SAPRef) bool) {
 			return
 		}
 		nodes++
-		if nodes > s.opts.ExtendNodeBudget {
+		if nodes > extendNodeBudget {
 			// Exponential wandering at an infeasible bound: give up on
 			// this mapping; the caller treats it as no-extension.
 			stop = true

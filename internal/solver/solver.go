@@ -39,6 +39,21 @@ import (
 	"repro/internal/symexec"
 )
 
+// Fixed search budgets.
+const (
+	// extensionRetries is how many distinct linear extensions to try per
+	// complete mapping before backtracking a decision.
+	extensionRetries = 8
+	// maxDecisions caps total decision-node expansions so pathological
+	// systems fail fast instead of hanging.
+	maxDecisions = 5_000_000
+	// extendNodeBudget caps the linear-extension walk per complete
+	// mapping; exhausting it counts as "no extension within the bound",
+	// keeping minimal-mode sweeps from wandering exponentially at
+	// infeasible bounds.
+	extendNodeBudget = 10_000
+)
+
 // Options tunes the search.
 type Options struct {
 	// MaxPreemptions bounds the schedule's preemptive context switches.
@@ -49,17 +64,6 @@ type Options struct {
 	// mode (default 16; failures needing more preemptions should be solved
 	// with an explicit MaxPreemptions bound, as the racey stress test is).
 	MinimalSearchLimit int
-	// ExtensionRetries is how many distinct linear extensions to try per
-	// complete mapping before backtracking a decision (default 8).
-	ExtensionRetries int
-	// MaxDecisions caps total decision-node expansions (default 5e6) so
-	// pathological systems fail fast instead of hanging.
-	MaxDecisions int64
-	// ExtendNodeBudget caps the linear-extension walk per complete mapping
-	// (default 10_000 nodes); exhausting it counts as "no extension within
-	// the bound", keeping minimal-mode sweeps from wandering exponentially
-	// at infeasible bounds.
-	ExtendNodeBudget int
 	// GenFallbackBound: for preemption bounds up to this value the solver
 	// first tries exhaustive bounded schedule generation with validation —
 	// at low bounds the schedule space is small and enumeration decides
@@ -105,15 +109,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MinimalSearchLimit == 0 {
 		o.MinimalSearchLimit = 16
-	}
-	if o.ExtensionRetries == 0 {
-		o.ExtensionRetries = 8
-	}
-	if o.MaxDecisions == 0 {
-		o.MaxDecisions = 5_000_000
-	}
-	if o.ExtendNodeBudget == 0 {
-		o.ExtendNodeBudget = 10_000
 	}
 	if o.GenFallbackBound == 0 {
 		o.GenFallbackBound = 3
@@ -661,8 +656,8 @@ func (s *search) decide(i int) (*Solution, error) {
 			return nil, ierr
 		}
 	}
-	if s.stats.Decisions > s.opts.MaxDecisions {
-		return nil, fmt.Errorf("solver: decision budget exceeded (%d)", s.opts.MaxDecisions)
+	if s.stats.Decisions > maxDecisions {
+		return nil, fmt.Errorf("solver: decision budget exceeded (%d)", maxDecisions)
 	}
 	if s.boundBudget > 0 && s.stats.Decisions-s.boundStart > s.boundBudget {
 		return nil, &Unsat{Reason: fmt.Sprintf("bound %d effort budget exhausted", s.bound)}
@@ -933,14 +928,14 @@ func (s *search) complete() (*Solution, error) {
 		w, err := s.sys.ValidateSchedule(order)
 		if err != nil {
 			lastErr = err
-			return tries < s.opts.ExtensionRetries
+			return tries < extensionRetries
 		}
 		// The walk bounds switches against the decided graph; the witness
 		// count is the replay-level ground truth, so enforce the bound on
 		// it too.
 		if w.Preemptions > s.bound {
 			lastErr = fmt.Errorf("extension needs %d preemptions (> bound %d)", w.Preemptions, s.bound)
-			return tries < s.opts.ExtensionRetries
+			return tries < extensionRetries
 		}
 		cp := make([]constraints.SAPRef, len(order))
 		copy(cp, order)
