@@ -1,8 +1,12 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-FUZZ_TARGETS := FuzzDecodePathLog FuzzDecodePathLogSalvage \
-	FuzzDecodeAccessVectorLog FuzzDecodeSyncOrderLog
+# Fuzz targets as package:Target.
+FUZZ_TARGETS := ./internal/trace:FuzzDecodePathLog \
+	./internal/trace:FuzzDecodePathLogSalvage \
+	./internal/trace:FuzzDecodeAccessVectorLog \
+	./internal/trace:FuzzDecodeSyncOrderLog \
+	./internal/clapd:FuzzDecodeBundle
 
 .PHONY: ci lint vet fmt-check build test e2ebench-check fuzz-smoke \
 	bench-gate vet-examples races-examples race-obs metrics-smoke \
@@ -63,8 +67,9 @@ bench-gate:
 # arbitrary bytes, not just the corpus.
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
-		echo "fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/trace/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name in $$pkg ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # Focused race-detector pass over the observability and parallel-solver

@@ -41,7 +41,8 @@ const (
 	CNF = core.CNF
 	// Portfolio runs Sequential for a short head start, then CNF with the
 	// rest of the budget, then Sequential again if CNF failed before the
-	// deadline, recording the per-attempt trail in Reproduction.Attempts.
+	// deadline without an unsat proof, recording the per-attempt trail in
+	// Reproduction.Attempts.
 	Portfolio = core.Portfolio
 )
 

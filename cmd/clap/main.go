@@ -49,7 +49,8 @@
 //	-solver seq|par|cnf|portfolio
 //	                    solving strategy (default seq); portfolio runs
 //	                    seq for a short head start, then cnf, then seq
-//	                    again if cnf failed, printing the attempt trail
+//	                    again if cnf failed without an unsat proof,
+//	                    printing the attempt trail
 //	-cs N               preemption bound (-1 = minimal, default)
 //	-timeout D          bound each phase's wall time (e.g. 30s, 2m);
 //	                    interrupted phases report partial diagnostics
@@ -91,7 +92,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/explain"
 	"repro/internal/obs"
 	"repro/internal/races"
 	"repro/internal/replay"
@@ -980,7 +980,7 @@ func cmdExplain(rest []string, f flags) error {
 	if perr != nil {
 		fmt.Printf("solve failed: %v\n", perr)
 	}
-	verdict, err := rep.ExplainUnsat(explain.MUSOptions{})
+	verdict, err := rep.ExplainUnsat()
 	if err != nil {
 		return err
 	}

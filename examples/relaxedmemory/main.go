@@ -106,7 +106,7 @@ func demo(name, src string, model vm.MemModel) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, _, err := solver.Solve(scSys, solver.Options{MaxPreemptions: 8, MinimalSearchLimit: 8}); err == nil {
+	if _, _, err := solver.Solve(scSys, solver.Options{MaxPreemptions: 8}); err == nil {
 		log.Fatalf("%s: the trace should be UNSAT under SC", name)
 	} else {
 		fmt.Printf("SC encoding of the same trace: %v  ✓ (the bug requires %s)\n", err, model)

@@ -47,7 +47,7 @@ var recordOnce = sync.OnceValues(func() (*Bundle, error) {
 // testBundle returns a fresh shallow copy of the shared recorded bundle.
 // Tests may tweak scalar fields (Seed, Name…) but must not mutate Log in
 // place.
-func testBundle(t *testing.T) *Bundle {
+func testBundle(t testing.TB) *Bundle {
 	t.Helper()
 	b, err := recordOnce()
 	if err != nil {
@@ -58,7 +58,7 @@ func testBundle(t *testing.T) *Bundle {
 }
 
 // testBundleBytes returns the shared bundle's wire bytes and digest.
-func testBundleBytes(t *testing.T) ([]byte, string) {
+func testBundleBytes(t testing.TB) ([]byte, string) {
 	t.Helper()
 	b := testBundle(t)
 	raw, err := b.Encode()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
@@ -458,6 +459,39 @@ func TestPermanentFailurePoisonsImmediately(t *testing.T) {
 	res, err := d.Ingest(raw)
 	if err != nil || res.Status != IngestCached {
 		t.Fatalf("poisoned duplicate: %+v, %v, want cached", res, err)
+	}
+}
+
+// TestUnsatProofPoisonsImmediately: dekker's bug needs TSO store
+// buffering, so a bundle of its recording whose model field says SC
+// encodes a system with no schedule. CNF proves that, and the same bytes
+// would fail the same way on every retry.
+func TestUnsatProofPoisonsImmediately(t *testing.T) {
+	bm, _ := bench.ByName("dekker")
+	p, err := bench.Prepare(bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := FromRecording(p.Recording, bm.Source, bm.Name, "")
+	b.Model = "SC"
+	raw, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(fastConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, d)
+	if _, err := d.Ingest(raw); err != nil {
+		t.Fatal(err)
+	}
+	job := waitTerminal(t, d, b.Digest(), 60*time.Second)
+	if job.State != StatePoisoned || job.Attempt != 1 {
+		t.Fatalf("job ended %s attempt %d (%s), want poisoned on attempt 1", job.State, job.Attempt, job.Err)
+	}
+	if got := d.Trace().Reg().Get("clapd.jobs.retried"); got != 0 {
+		t.Errorf("unsat proof was retried %d times", got)
 	}
 }
 

@@ -5,8 +5,9 @@
 // Failure taxonomy:
 //
 //   - Permanent: the bundle itself cannot ever succeed (does not parse,
-//     does not compile, rehydration rejects it, replay refutes the
-//     schedule). Re-running burns CPU for the same answer → poison now.
+//     does not compile, rehydration rejects it, the CNF solver proves that
+//     no schedule exists, replay refutes the schedule). Re-running burns
+//     CPU for the same answer → poison now.
 //   - Transient: timeouts, injected faults, filesystem errors, panics.
 //     Retry with exponential backoff + deterministic jitter until the
 //     attempt budget is spent, then poison.
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cnfsolver"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -61,11 +63,13 @@ func (e *permanentError) Unwrap() error { return e.err }
 
 func permanent(err error) error { return &permanentError{err: err} }
 
-// isPermanent classifies an execution failure.
+// isPermanent classifies an execution failure. An unsat proof is
+// permanent: the same bytes encode the same unsatisfiable system.
 func isPermanent(err error) bool {
 	var pe *permanentError
 	var be *BadBundleError
-	return errors.As(err, &pe) || errors.As(err, &be)
+	var unsat *cnfsolver.Unsat
+	return errors.As(err, &pe) || errors.As(err, &be) || errors.As(err, &unsat)
 }
 
 // workerLoop is one worker goroutine: pop, run, repeat until drain.
@@ -284,7 +288,7 @@ func (d *Daemon) execute(digest string, attempt int) (res *Result, err error) {
 		if rep != nil && rep.Outcome != nil && !rep.Outcome.Reproduced {
 			return nil, permanent(perr) // deterministic replay refutation
 		}
-		return nil, perr // interrupted/failed solve: transient, retry may finish
+		return nil, perr // transient unless an unsat proof (isPermanent)
 	}
 
 	if ferr := faultinject.Fire("clapd.worker.result"); ferr != nil {

@@ -46,9 +46,9 @@ import (
 // memory model (only writes are buffered), so dependencies precede their
 // SAP in every extracted order. At each read the checks force the chosen
 // write (or init) to be the cell's last writer. This is the exact
-// invariant concrete-address systems get from definitelySame constraints,
-// which is why the mapping-level blocking in block() and BlockMapping
-// stays sound with symbolic addresses.
+// invariant concrete-address systems get from their definitely-same-cell
+// constraints, which is why the mapping-level blocking in block() and
+// BlockMapping stays sound with symbolic addresses.
 
 // modelEnv resolves the value assignment implied by the current SAT
 // model's read→write mapping: a read's value is its chosen candidate's
@@ -235,7 +235,7 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 			if k > 0 && w2 == w {
 				continue
 			}
-			if e.definitelySame(info.Read, w2ref) {
+			if same, _ := symexec.SameCell(e.sys.SAP(info.Read), e.sys.SAP(w2ref)); same {
 				continue // the base encoding already pins these intervals
 			}
 			w2a := addrs[w2]

@@ -612,7 +612,7 @@ func (e *encoder) encode() {
 			e.choiceLit = append(e.choiceLit, nil)
 			continue
 		}
-		r := int(ri.Read)
+		r, rs := int(ri.Read), e.sys.SAP(ri.Read)
 		rivals := ri.AllRivals()
 		choice := make([]sat.Lit, 0, len(ri.Cands)+1)
 		initVar := e.s.NewVar()
@@ -628,7 +628,7 @@ func (e *encoder) encode() {
 		// including writes pruned from Cands, which still exist in every
 		// schedule.
 		for _, w := range rivals {
-			if e.definitelySame(ri.Read, w) {
+			if same, _ := symexec.SameCell(rs, e.sys.SAP(w)); same {
 				e.add(sat.MkLit(initVar, true), e.lit(r, int(w)))
 			}
 		}
@@ -640,7 +640,7 @@ func (e *encoder) encode() {
 			e.add(sat.MkLit(mv, true), e.lit(int(w), r))
 			// m → every same-address rival is before w or after r.
 			for _, w2 := range rivals {
-				if w2 == w || !e.definitelySame(ri.Read, w2) {
+				if same, _ := symexec.SameCell(rs, e.sys.SAP(w2)); w2 == w || !same {
 					continue
 				}
 				e.add(sat.MkLit(mv, true), e.lit(int(w2), int(w)), e.lit(r, int(w2)))
@@ -827,11 +827,6 @@ func (e *encoder) learnValueLemmas() {
 			}
 		}
 	}
-}
-
-func (e *encoder) definitelySame(a, b constraints.SAPRef) bool {
-	x, y := e.sys.SAP(a), e.sys.SAP(b)
-	return x.Var == y.Var && x.Addr != symexec.NoAddr && y.Addr != symexec.NoAddr && x.Addr == y.Addr
 }
 
 // extractOrder reads the total order off the model. Lazy mode takes the

@@ -79,7 +79,12 @@ func (sys *System) PreprocessObs(sp *obs.Span) *PreStats {
 	st := &PreStats{Reads: len(sys.Reads)}
 
 	csp := sp.Start("preprocess.closure")
-	r := newReach(sys)
+	// Cyclic hard edges also leave r nil: the system is unsatisfiable,
+	// and the solvers report it.
+	var r *Reach
+	if len(sys.SAPs) <= maxClosureSAPs {
+		r = NewReach(len(sys.SAPs), sys.HardEdges)
+	}
 	st.ClosureSkipped = r == nil
 	csp.SetAttr("skipped", strconv.FormatBool(st.ClosureSkipped))
 	csp.End()
@@ -115,28 +120,28 @@ func (sys *System) PreprocessObs(sp *obs.Span) *PreStats {
 	return st
 }
 
-// reach is the transitive closure of the hard order edges as one bitset
-// row per SAP: bit b of row a means a strictly precedes b in every
-// schedule.
-type reach struct {
+// Reach is the transitive closure of an order relation over SAPs, as one
+// bitset row per SAP: bit b of row a means a strictly precedes b.
+type Reach struct {
 	words int
 	bits  []uint64
 }
 
-func (r *reach) reaches(a, b SAPRef) bool {
+// Reaches reports whether a strictly precedes b.
+func (r *Reach) Reaches(a, b SAPRef) bool {
 	return r.bits[int(a)*r.words+int(b)>>6]&(1<<(uint(b)&63)) != 0
 }
 
-// newReach computes the closure, or returns nil when the system is too
-// large or the hard edges are (degenerately) cyclic.
-func newReach(sys *System) *reach {
-	n := len(sys.SAPs)
-	if n == 0 || n > maxClosureSAPs {
+// NewReach computes the transitive closure of edges over n SAPs with one
+// reverse-topological sweep. It returns nil when n is zero or the edges
+// are cyclic.
+func NewReach(n int, edges [][2]SAPRef) *Reach {
+	if n == 0 {
 		return nil
 	}
 	adj := make([][]SAPRef, n)
 	indeg := make([]int, n)
-	for _, e := range sys.HardEdges {
+	for _, e := range edges {
 		adj[e[0]] = append(adj[e[0]], e[1])
 		indeg[e[1]]++
 	}
@@ -159,9 +164,9 @@ func newReach(sys *System) *reach {
 		}
 	}
 	if len(order) != n {
-		return nil // cyclic hard edges: unsatisfiable; let the solvers report it
+		return nil
 	}
-	r := &reach{words: (n + 63) / 64, bits: make([]uint64, n*((n+63)/64))}
+	r := &Reach{words: (n + 63) / 64, bits: make([]uint64, n*((n+63)/64))}
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		row := r.bits[int(v)*r.words : (int(v)+1)*r.words]
@@ -186,7 +191,7 @@ type pregion struct {
 
 // pruneCandidates applies the three candidate-pruning rules and the
 // no-init rule to every read. Cands shrinks; Rivals keeps the full set.
-func (sys *System) pruneCandidates(r *reach, st *PreStats) {
+func (sys *System) pruneCandidates(r *Reach, st *PreStats) {
 	regs, regionsOf := sys.regionIndex(r)
 
 	// shadowKilled reports whether candidate w is dead in the "Rw wholly
@@ -198,10 +203,10 @@ func (sys *System) pruneCandidates(r *reach, st *PreStats) {
 			if w2 == w {
 				continue
 			}
-			if def, _ := sameAddr(sys.SAPs[w2], read); !def {
+			if def, _ := symexec.SameCell(sys.SAPs[w2], read); !def {
 				continue
 			}
-			if r.reaches(w, w2) && r.reaches(w2, reg.unlock) {
+			if r.Reaches(w, w2) && r.Reaches(w2, reg.unlock) {
 				return true
 			}
 		}
@@ -217,10 +222,10 @@ func (sys *System) pruneCandidates(r *reach, st *PreStats) {
 			if w3 == w {
 				continue
 			}
-			if def, _ := sameAddr(sys.SAPs[w3], read); !def {
+			if def, _ := symexec.SameCell(sys.SAPs[w3], read); !def {
 				continue
 			}
-			if r.reaches(readReg.lock, w3) && r.reaches(w3, ri.Read) {
+			if r.Reaches(readReg.lock, w3) && r.Reaches(w3, ri.Read) {
 				return true
 			}
 		}
@@ -238,7 +243,7 @@ func (sys *System) pruneCandidates(r *reach, st *PreStats) {
 		for _, w := range ri.Cands {
 			// Rule 1 (program order): the read unconditionally precedes the
 			// write, so the write can never be before the read.
-			if r.reaches(ri.Read, w) {
+			if r.Reaches(ri.Read, w) {
 				st.PrunedOrder++
 				continue
 			}
@@ -246,10 +251,10 @@ func (sys *System) pruneCandidates(r *reach, st *PreStats) {
 			// unconditionally between w and the read, so w is never the last
 			// writer.
 			for _, w2 := range ri.Rivals {
-				if def, _ := sameAddr(sys.SAPs[w2], read); !def {
+				if def, _ := symexec.SameCell(sys.SAPs[w2], read); !def {
 					continue
 				}
-				if r.reaches(w, w2) && r.reaches(w2, ri.Read) {
+				if r.Reaches(w, w2) && r.Reaches(w2, ri.Read) {
 					st.PrunedShadowed++
 					continue cand
 				}
@@ -293,10 +298,10 @@ func (sys *System) pruneCandidates(r *reach, st *PreStats) {
 		// No-init: a definitely-same-address write unconditionally precedes
 		// the read, so the initial value is unobservable.
 		for _, w := range ri.Rivals {
-			if def, _ := sameAddr(sys.SAPs[w], read); !def {
+			if def, _ := symexec.SameCell(sys.SAPs[w], read); !def {
 				continue
 			}
-			if r.reaches(w, ri.Read) {
+			if r.Reaches(w, ri.Read) {
 				ri.NoInit = true
 				st.NoInitReads++
 				break
@@ -368,7 +373,7 @@ func (sys *System) poInRegion(s SAPRef, reg *Region) bool {
 // regions) reaches(s, unlock). Reachability-based containment is exactly
 // what the dominance argument needs — it holds in every schedule, not
 // just program order.
-func (sys *System) regionIndex(r *reach) ([]pregion, [][]int32) {
+func (sys *System) regionIndex(r *Reach) ([]pregion, [][]int32) {
 	var regs []pregion
 	for m, regions := range sys.Regions {
 		for _, reg := range regions {
@@ -388,10 +393,10 @@ func (sys *System) regionIndex(r *reach) ([]pregion, [][]int32) {
 		}
 		for gi := range regs {
 			g := &regs[gi]
-			if !r.reaches(g.lock, SAPRef(s)) {
+			if !r.Reaches(g.lock, SAPRef(s)) {
 				continue
 			}
-			if g.hasUnlock && !r.reaches(SAPRef(s), g.unlock) {
+			if g.hasUnlock && !r.Reaches(SAPRef(s), g.unlock) {
 				continue
 			}
 			regionsOf[s] = append(regionsOf[s], int32(gi))
@@ -403,13 +408,13 @@ func (sys *System) regionIndex(r *reach) ([]pregion, [][]int32) {
 // pruneWaitCandidates drops signals that can never wake a wait: a signal
 // ordered after the wait's end, or before its begin, is outside the
 // (begin, end) window in every schedule.
-func (sys *System) pruneWaitCandidates(r *reach, st *PreStats) {
+func (sys *System) pruneWaitCandidates(r *Reach, st *PreStats) {
 	for i := range sys.Waits {
 		wi := &sys.Waits[i]
 		st.WaitCandsBefore += len(wi.Cands)
 		kept := wi.Cands[:0:0]
 		for _, sg := range wi.Cands {
-			if r.reaches(wi.End, sg) || r.reaches(sg, wi.Begin) {
+			if r.Reaches(wi.End, sg) || r.Reaches(sg, wi.Begin) {
 				continue
 			}
 			kept = append(kept, sg)

@@ -122,12 +122,9 @@ type validator struct {
 	waitBeganAt  map[SAPRef]int
 
 	// CountSwitches state.
-	scheduled       []bool
-	next            []int
-	lockHeld        map[ir.SyncID]bool
-	signalsSeen     map[ir.SyncID]int
-	broadcastsSeen  map[ir.SyncID]int
-	signalsConsumed map[ir.SyncID]int
+	scheduled []bool
+	next      []int
+	gate      *SyncGate
 }
 
 func (sys *System) getValidator() *validator {
@@ -135,14 +132,11 @@ func (sys *System) getValidator() *validator {
 		return v
 	}
 	return &validator{
-		locks:           map[ir.SyncID]lockOwner{},
-		signalsAt:       map[ir.SyncID][]int{},
-		broadcastsAt:    map[ir.SyncID][]int{},
-		waitBeganAt:     map[SAPRef]int{},
-		lockHeld:        map[ir.SyncID]bool{},
-		signalsSeen:     map[ir.SyncID]int{},
-		broadcastsSeen:  map[ir.SyncID]int{},
-		signalsConsumed: map[ir.SyncID]int{},
+		locks:        map[ir.SyncID]lockOwner{},
+		signalsAt:    map[ir.SyncID][]int{},
+		broadcastsAt: map[ir.SyncID][]int{},
+		waitBeganAt:  map[SAPRef]int{},
+		gate:         sys.NewSyncGate(),
 	}
 }
 
@@ -199,8 +193,5 @@ func (v *validator) resetForCount(sys *System, n int) {
 	for i := range v.next {
 		v.next[i] = 0
 	}
-	clear(v.lockHeld)
-	clear(v.signalsSeen)
-	clear(v.broadcastsSeen)
-	clear(v.signalsConsumed)
+	v.gate.Reset()
 }

@@ -242,19 +242,6 @@ func (sys *System) edge(a, b SAPRef) {
 	sys.HardEdges = append(sys.HardEdges, [2]SAPRef{a, b})
 }
 
-// sameAddrDefinitely reports whether two memory SAPs definitely access the
-// same address; maybe reports whether they possibly do (symbolic indices).
-func sameAddr(a, b *symexec.SAP) (definitely, maybe bool) {
-	if a.Var != b.Var {
-		return false, false
-	}
-	if a.Addr != symexec.NoAddr && b.Addr != symexec.NoAddr {
-		eq := a.Addr == b.Addr
-		return eq, eq
-	}
-	return false, true
-}
-
 // buildMemoryOrder encodes Fmo.
 func (sys *System) buildMemoryOrder() error {
 	for _, refs := range sys.Threads {
@@ -310,7 +297,7 @@ func (sys *System) buildRelaxedOrder(refs []SAPRef) {
 	lastSameAddrWrite := func(mem *symexec.SAP) SAPRef {
 		for j := len(pending) - 1; j >= 0; j-- {
 			p := sys.SAPs[pending[j]]
-			if def, maybe := sameAddr(p, mem); def || maybe {
+			if _, maybe := symexec.SameCell(p, mem); maybe {
 				return pending[j]
 			}
 		}
@@ -484,7 +471,7 @@ func (sys *System) buildReadWrite() {
 		}
 		ri := ReadInfo{Read: SAPRef(i), Init: sys.An.Prog.Globals[s.Var].Init}
 		for _, w := range writesByVar[s.Var] {
-			if _, maybe := sameAddr(s, sys.SAPs[w]); maybe {
+			if _, maybe := symexec.SameCell(s, sys.SAPs[w]); maybe {
 				ri.Cands = append(ri.Cands, w)
 			}
 		}

@@ -244,9 +244,10 @@ func consumeSignal(signalsAt, broadcastsAt map[ir.SyncID][]int, c ir.SyncID, beg
 // and how many of them are preemptive. A switch away from thread T is
 // preemptive when T could have continued: its next SAP's hard order
 // predecessors (Fmo plus fork/join edges) were all already scheduled at
-// the switch point. Switches where T was finished or blocked (a join whose
-// child had not exited, a wait-end whose turn had not come, …) are the
-// paper's non-preemptive, must-interleave switches (§4.2).
+// the switch point and its SyncGate was open. Switches where T was
+// finished or blocked (a join whose child had not exited, a lock held by
+// another thread, a wake with no signal to consume, …) are the paper's
+// non-preemptive, must-interleave switches (§4.2).
 func (sys *System) CountSwitches(order []SAPRef) (switches, preemptions int) {
 	v := sys.getValidator()
 	defer sys.putValidator(v)
@@ -262,13 +263,7 @@ func (sys *System) countSwitches(v *validator, order []SAPRef) (switches, preemp
 	v.resetForCount(sys, len(sys.SAPs))
 	scheduled := v.scheduled
 	next := v.next
-	// Replay-level blocking state: a thread whose next operation is a lock
-	// acquisition on a held mutex (or a wake without an eligible signal)
-	// cannot continue either — switching away from it is forced.
-	lockHeld := v.lockHeld
-	signalsSeen := v.signalsSeen
-	broadcastsSeen := v.broadcastsSeen
-	signalsConsumed := v.signalsConsumed
+	gate := v.gate
 	ready := func(t trace.ThreadID) bool {
 		refs := sys.Threads[t]
 		for k := next[t]; k < len(refs); k++ {
@@ -283,26 +278,9 @@ func (sys *System) countSwitches(v *validator, order []SAPRef) (switches, preemp
 					break
 				}
 			}
-			if !ok {
-				continue
+			if ok && gate.Enabled(r) {
+				return true
 			}
-			s := sys.SAPs[r]
-			switch s.Kind {
-			case symexec.SAPLock:
-				if lockHeld[s.Mutex] {
-					continue
-				}
-			case symexec.SAPWaitEnd:
-				if lockHeld[s.Mutex] {
-					continue
-				}
-				// Approximate eligibility: an unconsumed signal or any
-				// broadcast must exist.
-				if signalsConsumed[s.Cond] >= signalsSeen[s.Cond] && broadcastsSeen[s.Cond] == 0 {
-					continue
-				}
-			}
-			return true
 		}
 		return false
 	}
@@ -316,19 +294,7 @@ func (sys *System) countSwitches(v *validator, order []SAPRef) (switches, preemp
 			}
 		}
 		scheduled[r] = true
-		switch s.Kind {
-		case symexec.SAPLock:
-			lockHeld[s.Mutex] = true
-		case symexec.SAPUnlock, symexec.SAPWaitBegin:
-			lockHeld[s.Mutex] = false
-		case symexec.SAPWaitEnd:
-			lockHeld[s.Mutex] = true
-			signalsConsumed[s.Cond]++
-		case symexec.SAPSignal:
-			signalsSeen[s.Cond]++
-		case symexec.SAPBroadcast:
-			broadcastsSeen[s.Cond]++
-		}
+		gate.Apply(r)
 		for next[s.Thread] < len(sys.Threads[s.Thread]) && scheduled[sys.Threads[s.Thread][next[s.Thread]]] {
 			next[s.Thread]++
 		}

@@ -198,7 +198,6 @@ func Record(prog *ir.Program, opts RecordOptions) (*Recording, error) {
 	const perLevel = 3
 	var best *Recording
 	// The static analyses are per-program: hoist them out of the seed loop.
-	sharing := escape.Analyze(prog)
 	static := staticanalysis.Analyze(prog)
 	paths, err := ballarus.ProgramPaths(prog)
 	if err != nil {
@@ -233,7 +232,7 @@ hunt:
 				break hunt
 			}
 			ls.Seeds++
-			rec, err := recordSeed(prog, s, attempt, sharing, static, paths)
+			rec, err := recordSeed(prog, s, attempt, static, paths)
 			if err != nil {
 				if errors.Is(err, vm.ErrActionBudget) {
 					ls.Livelocked++
@@ -293,13 +292,12 @@ func huntInterrupted(ctx context.Context, deadline time.Time) bool {
 
 // RecordSeed runs exactly one recording attempt with the given seed.
 func RecordSeed(prog *ir.Program, seed int64, opts RecordOptions) (*Recording, error) {
-	sharing := escape.Analyze(prog)
 	static := staticanalysis.Analyze(prog)
 	paths, err := ballarus.ProgramPaths(prog)
 	if err != nil {
 		return nil, err
 	}
-	return recordSeed(prog, seed, opts, sharing, static, paths)
+	return recordSeed(prog, seed, opts, static, paths)
 }
 
 // demotedGlobals marks the shared globals whose accesses the recorder may
@@ -307,12 +305,12 @@ func RecordSeed(prog *ir.Program, seed int64, opts RecordOptions) (*Recording, e
 // analysis proves free of concurrent conflicting access. Returns nil when
 // nothing is demotable (the common case for racy programs), so the VM's
 // fast path stays unchanged.
-func demotedGlobals(sharing *escape.Result, static *staticanalysis.Result) []bool {
+func demotedGlobals(static *staticanalysis.Result) []bool {
 	var out []bool
-	for g, sh := range sharing.Shared {
+	for g, sh := range static.Sharing.Shared {
 		if sh && static.Demotable[g] {
 			if out == nil {
-				out = make([]bool, len(sharing.Shared))
+				out = make([]bool, len(static.Sharing.Shared))
 			}
 			out[g] = true
 		}
@@ -321,7 +319,7 @@ func demotedGlobals(sharing *escape.Result, static *staticanalysis.Result) []boo
 }
 
 // recordSeed is RecordSeed with the per-program analyses precomputed.
-func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escape.Result, static *staticanalysis.Result, paths []*ballarus.FuncPaths) (*Recording, error) {
+func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, static *staticanalysis.Result, paths []*ballarus.FuncPaths) (*Recording, error) {
 	pathRec := &vm.PathRecorder{Paths: paths, Log: &trace.PathLog{}}
 	sched := vm.NewRandomScheduler(seed)
 	if opts.Chaos > 0 {
@@ -332,14 +330,14 @@ func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escap
 	}
 	var demoted []bool
 	if !opts.NoDemote {
-		demoted = demotedGlobals(sharing, static)
+		demoted = demotedGlobals(static)
 	}
 	machine, err := vm.New(prog, vm.Config{
 		Model:        opts.Model,
 		Inputs:       opts.Inputs,
 		MaxActions:   opts.MaxActions,
 		Sched:        sched,
-		Shared:       sharing.Shared,
+		Shared:       static.Sharing.Shared,
 		Demoted:      demoted,
 		PathRecorder: pathRec,
 	})
@@ -354,7 +352,7 @@ func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escap
 		Prog:       prog,
 		Model:      opts.Model,
 		Inputs:     opts.Inputs,
-		Sharing:    sharing,
+		Sharing:    static.Sharing,
 		Static:     static,
 		Paths:      pathRec.Paths,
 		Log:        pathRec.Log,
@@ -410,7 +408,8 @@ const (
 	CNF
 	// Portfolio runs Sequential for a short head start, then CNF with the
 	// rest of the budget, then Sequential again if CNF failed before the
-	// deadline, on the caller's goroutine (see portfolio.go). It records a
+	// deadline without an unsat proof, on the caller's goroutine (see
+	// portfolio.go). It records a
 	// per-attempt trail; a panic or injected fault in one step degrades to
 	// the next instead of killing the pipeline.
 	Portfolio
@@ -436,10 +435,6 @@ type ReproduceOptions struct {
 	Solver SolverKind
 	// Sequential solver tuning.
 	SeqOptions solver.Options
-	// Parallel solver tuning.
-	ParOptions parsolve.Options
-	// CNF solver tuning.
-	CNFOptions cnfsolver.Options
 	// SkipReplay computes the schedule without the final replay run.
 	SkipReplay bool
 	// CaptureReplay collects the replay's visible events into
@@ -459,8 +454,8 @@ type ReproduceOptions struct {
 	// Ctx cancels the offline phases (nil = never).
 	Ctx context.Context
 	// Deadline bounds the whole offline pipeline (0 = none). The remaining
-	// budget is threaded through solving and replay; per-solver deadlines
-	// in SeqOptions etc. still apply and the earliest bound wins.
+	// budget is threaded through solving and replay; a deadline in
+	// SeqOptions still applies and the earlier bound wins.
 	Deadline time.Duration
 	// Obs, when set, is the trace the pipeline's spans and metrics attach
 	// to (typically shared with RecordOptions.Obs so one report covers the

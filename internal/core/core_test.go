@@ -28,6 +28,47 @@ func main() {
 }
 `
 
+// spawnedMain spawns main from main. The spawned instance takes the else
+// branch and races the initial instance on x, so the globals main touches
+// are shared even though main is the program's only function.
+const spawnedMain = `
+int depth;
+int x;
+func main() {
+	int d = depth;
+	depth = d + 1;
+	if (d == 0) {
+		int h = spawn main();
+		x = 1;
+		join(h);
+		int v = x;
+		assert(v == 1, "spawned main wrote last");
+	} else {
+		x = 2;
+	}
+}
+`
+
+func TestSpawnedMainReproduces(t *testing.T) {
+	prog, err := Compile(spawnedMain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Record(prog, RecordOptions{Model: vm.SC, SeedLimit: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []SolverKind{Portfolio, Sequential, CNF} {
+		rep, err := Reproduce(rec, ReproduceOptions{Solver: kind})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if !rep.Outcome.Reproduced {
+			t.Fatalf("%v: bug not reproduced", kind)
+		}
+	}
+}
+
 func TestEndToEndFigure2Sequential(t *testing.T) {
 	rep, err := ReproduceSource(figure2SC,
 		RecordOptions{Model: vm.SC, SeedLimit: 3000},
@@ -102,8 +143,9 @@ func main() {
 	}
 }
 
-func TestEndToEndTSODekker(t *testing.T) {
-	src := `
+// dekkerTSOSrc is Dekker's entry protocol without fences: correct under
+// SC, broken by TSO store buffering.
+const dekkerTSOSrc = `
 int flag0;
 int flag1;
 int incrit;
@@ -135,7 +177,9 @@ func main() {
 	assert(b == 0, "mutual exclusion violated");
 }
 `
-	rep, err := ReproduceSource(src,
+
+func TestEndToEndTSODekker(t *testing.T) {
+	rep, err := ReproduceSource(dekkerTSOSrc,
 		RecordOptions{Model: vm.TSO, SeedLimit: 3000},
 		ReproduceOptions{Solver: Sequential},
 	)

@@ -144,9 +144,9 @@ func (rep *Reproduction) ScheduleDiff() (*explain.Diff, error) {
 // ExplainUnsat runs the minimal-unsat-subset shrinker on the
 // reproduction's constraint system — the "why no schedule exists" verdict
 // for a failed solve.
-func (rep *Reproduction) ExplainUnsat(opts explain.MUSOptions) (*explain.Core, error) {
+func (rep *Reproduction) ExplainUnsat() (*explain.Core, error) {
 	if rep.System == nil {
 		return nil, fmt.Errorf("core: no constraint system to explain")
 	}
-	return explain.MinimizeUnsat(rep.System, opts), nil
+	return explain.MinimizeUnsat(rep.System), nil
 }

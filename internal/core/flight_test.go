@@ -16,10 +16,10 @@ func flightRep(t *testing.T) *Reproduction {
 		RecordOptions{Model: vm.SC, SeedLimit: 3000},
 		ReproduceOptions{
 			Solver: Sequential,
-			// GenFallbackBound -1 forces the backtracking search (the
-			// generate-and-validate fast path never builds a partial
-			// order), so CapturePartial has something to capture.
-			SeqOptions:    solver.Options{CapturePartial: true, GenFallbackBound: -1},
+			// A bound above the generator's (3) forces the backtracking
+			// search (the generate-and-validate fast path never builds a
+			// partial order), so CapturePartial has something to capture.
+			SeqOptions:    solver.Options{CapturePartial: true, MaxPreemptions: 4},
 			CaptureReplay: true,
 		},
 	)

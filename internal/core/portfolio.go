@@ -14,7 +14,9 @@
 //     budget;
 //  3. if CNF fails for a reason other than the shared deadline — a system
 //     above its encoding limit, say — and the head start was cut short,
-//     the sequential search runs again with what remains.
+//     the sequential search runs again with what remains. A CNF proof of
+//     unsatisfiability (cnfsolver.Unsat) ends the ladder instead: no
+//     schedule exists for the sequential search to find.
 //
 // The answer therefore does not depend on the number of cores. A step
 // that is interrupted, finds nothing, errors, or panics is recorded in the
@@ -206,24 +208,15 @@ func seqOptions(opts ReproduceOptions, deadline time.Time) solver.Options {
 	return o
 }
 
-// cnfOptions wires opts.CNFOptions like seqOptions does.
+// cnfOptions wires the CNF solver to the pipeline context and the
+// remaining deadline.
 func cnfOptions(opts ReproduceOptions, deadline time.Time) cnfsolver.Options {
-	o := opts.CNFOptions
-	if o.Ctx == nil {
-		o.Ctx = opts.Ctx
-	}
-	capBudget(&o.Deadline, remaining(deadline))
-	return o
+	return cnfsolver.Options{Ctx: opts.Ctx, Deadline: remaining(deadline)}
 }
 
-// parOptions wires opts.ParOptions like seqOptions does.
+// parOptions wires the parallel solver like cnfOptions does.
 func parOptions(opts ReproduceOptions, deadline time.Time) parsolve.Options {
-	o := opts.ParOptions
-	if o.Ctx == nil {
-		o.Ctx = opts.Ctx
-	}
-	capBudget(&o.Deadline, remaining(deadline))
-	return o
+	return parsolve.Options{Ctx: opts.Ctx, Deadline: remaining(deadline)}
 }
 
 // remaining converts an absolute deadline to a duration budget; zero means
@@ -261,38 +254,11 @@ func headStart(deadline time.Time) time.Duration {
 	return max(h, time.Nanosecond)
 }
 
-// RunPortfolio runs the solver portfolio directly on a constraint system,
-// honouring opts.Ctx/opts.Deadline. It returns the solution together with
-// the attempt trail; when every step fails, the trail explains each
-// step's exit.
-func RunPortfolio(sys *constraints.System, opts ReproduceOptions) (*solver.Solution, []SolverAttempt, error) {
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = time.Now().Add(opts.Deadline)
-	}
-	if opts.Ctx != nil {
-		if d, ok := opts.Ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-			deadline = d
-		}
-	}
-	rep := &Reproduction{Trace: opts.Obs}
-	psp := opts.Obs.Root().Start("preprocess")
-	emitPreStats(opts.Obs.Reg(), sys.PreprocessObs(psp))
-	endStage(opts.Obs.Reg(), "preprocess", psp)
-	sp := opts.Obs.Root().Start("solve")
-	sp.SetAttr("kind", "portfolio")
-	sol, trail, err := runPortfolio(rep, sys, opts, deadline, sp)
-	emitSolveSummary(opts.Obs.Reg(), trail, sol)
-	if err != nil {
-		sp.SetAttr("err", err.Error())
-	}
-	endStage(opts.Obs.Reg(), "solve", sp)
-	return sol, trail, err
-}
-
-// runPortfolio is RunPortfolio against a caller-owned Reproduction, so the
-// per-step statistics (SeqStats, CNFStats) land in the final report even
-// when the step that produced them did not solve.
+// runPortfolio runs the solver ladder on sys, honouring opts.Ctx and the
+// shared deadline. It returns the solution together with the attempt
+// trail; when every step fails, the trail explains each step's exit. The
+// per-step statistics (SeqStats, CNFStats) land in rep even when the step
+// that produced them did not solve.
 func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, []SolverAttempt, error) {
 	seqOpts := seqOptions(opts, deadline)
 	capBudget(&seqOpts.Deadline, headStart(deadline))
@@ -314,6 +280,12 @@ func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOpti
 	trail = append(trail, att)
 	if sol != nil {
 		return sol, trail, nil
+	}
+	// CNF's encoding is complete, so its Unsat proves that no schedule
+	// exists: resuming the sequential search could only burn the budget.
+	var unsat *cnfsolver.Unsat
+	if errors.As(att.err, &unsat) {
+		return nil, trail, fmt.Errorf("core: portfolio: no schedule exists (%s): %w", trailSummary(trail[:1]), unsat)
 	}
 	if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
 		return nil, trail, err

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/ballarus"
-	"repro/internal/escape"
 	"repro/internal/ir"
 	"repro/internal/staticanalysis"
 	"repro/internal/trace"
@@ -67,7 +66,6 @@ func Rehydrate(prog *ir.Program, spec RehydrateSpec) (*Recording, error) {
 	if spec.Failure.Kind != vm.FailAssert {
 		return nil, fmt.Errorf("core: rehydrate reproduces assertion failures, got %s", spec.Failure.Kind)
 	}
-	sharing := escape.Analyze(prog)
 	static := staticanalysis.Analyze(prog)
 	paths, err := ballarus.ProgramPaths(prog)
 	if err != nil {
@@ -75,13 +73,13 @@ func Rehydrate(prog *ir.Program, spec RehydrateSpec) (*Recording, error) {
 	}
 	var demoted []bool
 	if !spec.NoDemote {
-		demoted = demotedGlobals(sharing, static)
+		demoted = demotedGlobals(static)
 	}
 	return &Recording{
 		Prog:       prog,
 		Model:      spec.Model,
 		Inputs:     spec.Inputs,
-		Sharing:    sharing,
+		Sharing:    static.Sharing,
 		Static:     static,
 		Paths:      paths,
 		Log:        spec.Log,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cnfsolver"
 	"repro/internal/faultinject"
 	"repro/internal/solver"
 	"repro/internal/vm"
@@ -256,6 +257,36 @@ func TestPortfolioResumesSequential(t *testing.T) {
 	}
 }
 
+// TestPortfolioStopsAtCNFUnsat re-analyses a TSO-only bug under SC, where
+// no schedule exists. Once CNF proves that, the ladder ends: a resumed
+// sequential search could only burn the rest of the budget.
+func TestPortfolioStopsAtCNFUnsat(t *testing.T) {
+	prog, err := Compile(dekkerTSOSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Record(prog, RecordOptions{Model: vm.TSO, SeedLimit: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Model = vm.SC
+	defer func(h time.Duration) { seqHeadStart = h }(seqHeadStart)
+	seqHeadStart = time.Nanosecond
+	start := time.Now()
+	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Deadline: time.Minute})
+	elapsed := time.Since(start)
+	var unsat *cnfsolver.Unsat
+	if !errors.As(err, &unsat) {
+		t.Fatalf("want an error wrapping *cnfsolver.Unsat, got %v", err)
+	}
+	if got := trailOf(rep.Attempts); got != "sequential interrupted, cnf failed" {
+		t.Fatalf("attempt trail: %s", got)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("the ladder took %v after the unsat proof", elapsed)
+	}
+}
+
 // trailOf renders an attempt trail as "solver outcome" pairs.
 func trailOf(attempts []SolverAttempt) string {
 	parts := make([]string, len(attempts))
@@ -263,28 +294,4 @@ func trailOf(attempts []SolverAttempt) string {
 		parts[i] = a.Solver + " " + a.Outcome
 	}
 	return strings.Join(parts, ", ")
-}
-
-func TestRunPortfolioDirect(t *testing.T) {
-	rec := recordLostUpdate(t)
-	sys, err := rec.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, attempts, err := RunPortfolio(sys, ReproduceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol == nil || len(attempts) == 0 {
-		t.Fatalf("no solution or trail: %v %v", sol, attempts)
-	}
-	solved := false
-	for _, a := range attempts {
-		if a.Outcome == "solved" {
-			solved = true
-		}
-	}
-	if !solved {
-		t.Fatalf("trail: %v", attempts)
-	}
 }

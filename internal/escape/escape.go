@@ -30,6 +30,13 @@ type Result struct {
 	// AccessedBy maps each global to the functions that access it directly
 	// (diagnostics).
 	AccessedBy map[ir.GlobalID][]ir.FuncID
+	// Roots is each function's thread multiplicity as a thread root
+	// (MultNone for a function that never starts a thread), indexed by
+	// ir.FuncID.
+	Roots []Multiplicity
+	// Loops marks, per function, the blocks that sit inside a loop (see
+	// BlocksInLoops).
+	Loops []map[ir.BlockID]bool
 }
 
 // SharedCount returns the number of shared globals (the paper's #SV).
@@ -46,42 +53,50 @@ func (r *Result) SharedCount() int {
 // IsShared reports whether global g is thread-shared.
 func (r *Result) IsShared(g ir.GlobalID) bool { return r.Shared[g] }
 
-// multiplicity saturates thread instance counts at "many".
-type multiplicity uint8
+// Multiplicity counts thread instances, saturating at "many".
+type Multiplicity uint8
 
+// Multiplicities.
 const (
-	multNone multiplicity = iota
-	multOne
-	multMany
+	MultNone Multiplicity = iota
+	MultOne
+	MultMany
 )
 
-func (m multiplicity) add(o multiplicity) multiplicity {
+// add sums two multiplicities, saturating at MultMany.
+func (m Multiplicity) add(o Multiplicity) Multiplicity {
 	s := uint8(m) + uint8(o)
-	if s >= uint8(multMany) {
-		return multMany
+	if s >= uint8(MultMany) {
+		return MultMany
 	}
-	return multiplicity(s)
+	return Multiplicity(s)
+}
+
+// spawnSite is one spawn of a function: who spawns, and whether the site
+// is inside a loop of the spawning function.
+type spawnSite struct {
+	spawner ir.FuncID
+	inLoop  bool
 }
 
 // Analyze runs the sharing analysis on prog.
 func Analyze(prog *ir.Program) *Result {
 	n := len(prog.Funcs)
+	res := &Result{
+		Shared:     make([]bool, len(prog.Globals)),
+		AccessedBy: map[ir.GlobalID][]ir.FuncID{},
+		Loops:      make([]map[ir.BlockID]bool, n),
+	}
 
 	// directAccess[f] = globals f's own instructions touch.
 	directAccess := make([]map[ir.GlobalID]bool, n)
 	// callees[f] = functions f calls directly.
 	callees := make([][]ir.FuncID, n)
-	// spawnSites[f] = for each spawn of f, whether the site is inside a
-	// loop of the spawning function, and who spawns.
-	type spawnSite struct {
-		spawner ir.FuncID
-		inLoop  bool
-	}
 	spawnSites := map[ir.FuncID][]spawnSite{}
 
 	for fi, fn := range prog.Funcs {
 		directAccess[fi] = map[ir.GlobalID]bool{}
-		loopBlocks := blocksInLoops(fn)
+		res.Loops[fi] = BlocksInLoops(fn)
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
 				switch x := in.(type) {
@@ -98,7 +113,7 @@ func Analyze(prog *ir.Program) *Result {
 				case *ir.Spawn:
 					spawnSites[x.Func] = append(spawnSites[x.Func], spawnSite{
 						spawner: ir.FuncID(fi),
-						inLoop:  loopBlocks[b.ID],
+						inLoop:  res.Loops[fi][b.ID],
 					})
 				}
 			}
@@ -131,27 +146,48 @@ func Analyze(prog *ir.Program) *Result {
 	// Spawned functions are also "callees" in terms of which code a thread
 	// root can transitively cause to run — but spawned code runs in its own
 	// thread, so it is a separate root, not part of the spawner's closure.
+	res.Roots = rootMultiplicities(prog, callees, spawnSites)
 
-	// Thread multiplicity per root: main runs once. A spawned function f's
-	// multiplicity is the sum over its spawn sites of the spawner-root
-	// multiplicity, saturated to many when the site is in a loop. Because
-	// spawners may themselves be spawned, iterate to a fixpoint.
-	rootMult := make([]multiplicity, n)
-	rootMult[prog.MainID] = multOne
-	// rootsRunning[f] = multiplicity with which function f executes across
-	// all threads (as a root or via calls from roots).
-	for changed := true; changed; {
-		changed = false
-		// runMult[f]: how many threads may be executing f.
-		runMult := make([]multiplicity, n)
-		runMult[prog.MainID] = multOne
-		for fi := range prog.Funcs {
-			if rootMult[fi] != multNone && ir.FuncID(fi) != prog.MainID {
-				runMult[fi] = runMult[fi].add(rootMult[fi])
+	// A global is shared when the roots that can access it have combined
+	// multiplicity >= 2.
+	for fi := range prog.Funcs {
+		for g := range directAccess[fi] {
+			res.AccessedBy[g] = append(res.AccessedBy[g], ir.FuncID(fi))
+		}
+	}
+	// Sort explicitly rather than relying on the append order above, so
+	// diagnostics stay deterministic under refactoring.
+	for g := range res.AccessedBy {
+		slices.Sort(res.AccessedBy[g])
+	}
+	for g := range prog.Globals {
+		var m Multiplicity
+		for fi, rm := range res.Roots {
+			if rm != MultNone && reach[fi][ir.GlobalID(g)] {
+				m = m.add(rm)
 			}
 		}
-		// Propagate through calls (a callee runs in as many threads as its
-		// callers combined).
+		res.Shared[g] = m >= MultMany
+	}
+	return res
+}
+
+// rootMultiplicities computes each function's multiplicity as a thread
+// root. Main runs once as the initial thread. A spawned function's
+// multiplicity sums, over its spawn sites, the number of threads that may
+// run the spawner (saturated to many when the site is in a loop); a
+// spawned main adds those instances to its initial one. Because spawners
+// may themselves be spawned, iterate to a fixpoint.
+func rootMultiplicities(prog *ir.Program, callees [][]ir.FuncID, spawnSites map[ir.FuncID][]spawnSite) []Multiplicity {
+	n := len(prog.Funcs)
+	roots := make([]Multiplicity, n)
+	roots[prog.MainID] = MultOne
+	for changed := true; changed; {
+		changed = false
+		// runMult[f]: how many threads may be executing f, as a root or
+		// through calls (a callee runs in as many threads as its callers
+		// combined).
+		runMult := slices.Clone(roots)
 		for again := true; again; {
 			again = false
 			for fi := range prog.Funcs {
@@ -165,59 +201,33 @@ func Analyze(prog *ir.Program) *Result {
 			}
 		}
 		for f, sites := range spawnSites {
-			var m multiplicity
+			var m Multiplicity
 			for _, s := range sites {
 				sm := runMult[s.spawner]
-				if sm == multNone {
+				if sm == MultNone {
 					continue // spawner itself never runs
 				}
 				if s.inLoop {
-					sm = multMany
+					sm = MultMany
 				}
 				m = m.add(sm)
 			}
-			if m != rootMult[f] {
-				rootMult[f] = m
+			if f == prog.MainID {
+				m = m.add(MultOne) // main also runs as the initial thread
+			}
+			if m != roots[f] {
+				roots[f] = m
 				changed = true
 			}
 		}
 	}
-
-	// A global is shared when the roots that can access it have combined
-	// multiplicity >= 2.
-	res := &Result{
-		Shared:     make([]bool, len(prog.Globals)),
-		AccessedBy: map[ir.GlobalID][]ir.FuncID{},
-	}
-	for fi := range prog.Funcs {
-		for g := range directAccess[fi] {
-			res.AccessedBy[g] = append(res.AccessedBy[g], ir.FuncID(fi))
-		}
-	}
-	// Sort explicitly rather than relying on the append order above, so
-	// diagnostics stay deterministic under refactoring.
-	for g := range res.AccessedBy {
-		slices.Sort(res.AccessedBy[g])
-	}
-	for g := range prog.Globals {
-		var m multiplicity
-		for fi := range prog.Funcs {
-			if rootMult[fi] == multNone {
-				continue
-			}
-			if reach[fi][ir.GlobalID(g)] {
-				m = m.add(rootMult[fi])
-			}
-		}
-		res.Shared[g] = m >= multMany
-	}
-	return res
+	return roots
 }
 
-// blocksInLoops reports which blocks of fn sit inside a natural loop,
+// BlocksInLoops reports which blocks of fn sit inside a natural loop,
 // approximated as: blocks from which a back-edge source is reachable and
 // which are reachable from the corresponding back-edge target.
-func blocksInLoops(fn *ir.Func) map[ir.BlockID]bool {
+func BlocksInLoops(fn *ir.Func) map[ir.BlockID]bool {
 	in := map[ir.BlockID]bool{}
 	back := fn.BackEdges()
 	if len(back) == 0 {
@@ -234,10 +244,6 @@ func blocksInLoops(fn *ir.Func) map[ir.BlockID]bool {
 		for _, s := range b.Succs() {
 			dfs(from, s)
 		}
-	}
-	blockByID := map[ir.BlockID]*ir.Block{}
-	for _, b := range fn.Blocks {
-		blockByID[b.ID] = b
 	}
 	for _, b := range fn.Blocks {
 		reach[b.ID] = map[ir.BlockID]bool{}

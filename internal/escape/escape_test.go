@@ -270,3 +270,29 @@ func main() {
 		}
 	}
 }
+
+func TestSpawnedMainCountsInitialInstance(t *testing.T) {
+	// main spawns itself once: the initial instance and the spawned one
+	// both run main's body, so every global main touches is shared.
+	prog, res := analyze(t, `
+int depth;
+int x;
+func main() {
+	int d = depth;
+	depth = d + 1;
+	if (d == 0) {
+		int h = spawn main();
+		x = 1;
+		join(h);
+	} else {
+		x = 2;
+	}
+}
+`)
+	if got := res.Roots[prog.MainID]; got != MultMany {
+		t.Errorf("main's root multiplicity = %d, want MultMany", got)
+	}
+	if got := sharedNames(prog, res); !got["depth"] || !got["x"] {
+		t.Errorf("shared = %v, want depth and x", got)
+	}
+}

@@ -151,7 +151,7 @@ func DiffSchedules(sys *constraints.System, recordedTimes []int64, order []const
 				if a.Kind != symexec.SAPWrite && b.Kind != symexec.SAPWrite {
 					continue
 				}
-				if !maybeSameAddr(a, b) {
+				if _, maybe := symexec.SameCell(a, b); !maybe {
 					continue
 				}
 				addPair(FlipRW, refs[i], refs[j])
@@ -240,7 +240,7 @@ func (d *Diff) buildRemaps(recordedTimes []int64, w *constraints.Witness) {
 				continue
 			}
 			a, b := sys.SAP(wr), sys.SAP(ri.Read)
-			if def := definitelySameAddr(a, b); !def {
+			if def, _ := symexec.SameCell(a, b); !def {
 				continue
 			}
 			if recordedTimes[wr] < recordedTimes[ri.Read] && recordedTimes[wr] > recordedAt {
@@ -258,20 +258,6 @@ func (d *Diff) buildRemaps(recordedTimes []int64, w *constraints.Witness) {
 		}
 		d.Remaps = append(d.Remaps, rm)
 	}
-}
-
-func maybeSameAddr(a, b *symexec.SAP) bool {
-	if a.Var != b.Var {
-		return false
-	}
-	if a.Addr != symexec.NoAddr && b.Addr != symexec.NoAddr {
-		return a.Addr == b.Addr
-	}
-	return true
-}
-
-func definitelySameAddr(a, b *symexec.SAP) bool {
-	return a.Var == b.Var && a.Addr != symexec.NoAddr && a.Addr == b.Addr
 }
 
 // sapAt renders a SAP identity with its source position.

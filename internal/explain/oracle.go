@@ -3,6 +3,7 @@ package explain
 import (
 	"repro/internal/constraints"
 	"repro/internal/ir"
+	"repro/internal/solver"
 	"repro/internal/symbolic"
 	"repro/internal/symexec"
 )
@@ -61,7 +62,7 @@ type oracle struct {
 	readIdx     []int
 	conj        []symbolic.Expr
 
-	g *diGraph
+	g *solver.OrderGraph
 
 	env        symbolic.MapEnv
 	mappedTo   map[constraints.SAPRef]constraints.SAPRef // read -> write (NoRef = init)
@@ -80,7 +81,7 @@ type oDecision struct {
 func check(sys *constraints.System, groups []constraints.Group, keep []bool, budget int64) verdict {
 	o := &oracle{
 		sys: sys, budget: budget,
-		g:          newDiGraph(len(sys.SAPs)),
+		g:          solver.NewOrderGraph(len(sys.SAPs)),
 		env:        symbolic.MapEnv{},
 		mappedTo:   map[constraints.SAPRef]constraints.SAPRef{},
 		usedSignal: map[constraints.SAPRef]bool{},
@@ -92,7 +93,7 @@ func check(sys *constraints.System, groups []constraints.Group, keep []bool, bud
 		switch grp.Kind {
 		case constraints.GroupMO, constraints.GroupSpawn, constraints.GroupOrder:
 			for _, e := range grp.Edges {
-				if !o.g.addEdge(e[0], e[1]) {
+				if !o.g.AddEdge(e[0], e[1]) {
 					return vUnsat // retained hard edges alone are cyclic
 				}
 			}
@@ -152,7 +153,7 @@ func (o *oracle) decide(i int) verdict {
 	d := o.decs[i]
 	unknown := false
 	try := func(f func() bool) verdict {
-		mark := o.g.mark()
+		mark := o.g.Mark()
 		if f() {
 			switch v := o.decide(i + 1); v {
 			case vSat:
@@ -161,7 +162,7 @@ func (o *oracle) decide(i int) verdict {
 				unknown = true
 			}
 		}
-		o.g.undoTo(mark)
+		o.g.UndoTo(mark)
 		return vUnsat
 	}
 	switch d.kind {
@@ -177,7 +178,7 @@ func (o *oracle) decide(i int) verdict {
 				o.usedSignal[cand] = true
 			}
 			v := try(func() bool {
-				return o.g.addEdge(wi.Begin, cand) && o.g.addEdge(cand, wi.End)
+				return o.g.AddEdge(wi.Begin, cand) && o.g.AddEdge(cand, wi.End)
 			})
 			if plain {
 				delete(o.usedSignal, cand)
@@ -195,7 +196,7 @@ func (o *oracle) decide(i int) verdict {
 				// Initial value: every definitely-same-address rival is
 				// after the read.
 				for _, wr := range ri.AllRivals() {
-					if definitelySameAddr(o.sys.SAP(wr), rs) && !o.g.addEdge(r, wr) {
+					if same, _ := symexec.SameCell(o.sys.SAP(wr), rs); same && !o.g.AddEdge(r, wr) {
 						return false
 					}
 				}
@@ -210,24 +211,24 @@ func (o *oracle) decide(i int) verdict {
 		for _, w := range ri.Cands {
 			w := w
 			ws := o.sys.SAP(w)
-			if rs.Addr != symexec.NoAddr && ws.Addr != symexec.NoAddr && ws.Addr != rs.Addr {
+			if _, maybe := symexec.SameCell(rs, ws); !maybe {
 				continue
 			}
 			for variant := 0; variant < 2; variant++ {
 				variant := variant
 				v := try(func() bool {
-					if !o.g.addEdge(w, r) {
+					if !o.g.AddEdge(w, r) {
 						return false
 					}
 					for _, rv := range ri.AllRivals() {
-						if rv == w || !definitelySameAddr(o.sys.SAP(rv), rs) {
+						if same, _ := symexec.SameCell(o.sys.SAP(rv), rs); rv == w || !same {
 							continue
 						}
 						var ok bool
 						if variant == 0 {
-							ok = o.g.addEdge(rv, w) // rival before the writer
+							ok = o.g.AddEdge(rv, w) // rival before the writer
 						} else {
-							ok = o.g.addEdge(r, rv) // rival after the read
+							ok = o.g.AddEdge(r, rv) // rival after the read
 						}
 						if !ok {
 							return false
@@ -245,12 +246,12 @@ func (o *oracle) decide(i int) verdict {
 	case 2: // lock-region pair: one region entirely before the other
 		a, b := d.ra, d.rb
 		if a.HasUnlock {
-			if v := try(func() bool { return o.g.addEdge(a.Unlock, b.Lock) }); v == vSat {
+			if v := try(func() bool { return o.g.AddEdge(a.Unlock, b.Lock) }); v == vSat {
 				return vSat
 			}
 		}
 		if b.HasUnlock {
-			if v := try(func() bool { return o.g.addEdge(b.Unlock, a.Lock) }); v == vSat {
+			if v := try(func() bool { return o.g.AddEdge(b.Unlock, a.Lock) }); v == vSat {
 				return vSat
 			}
 		}

@@ -7,13 +7,10 @@ import (
 	"repro/internal/constraints"
 )
 
-// MUSOptions parameterizes the minimal-unsat-subset shrink.
-type MUSOptions struct {
-	// Budget bounds each oracle invocation's search nodes (default
-	// 200_000). Exhaustion makes that check "unknown" and the candidate
-	// group is conservatively kept.
-	Budget int64
-}
+// musBudget bounds each oracle invocation's search nodes. Exhaustion
+// makes that check "unknown" and the candidate group is conservatively
+// kept.
+const musBudget = 200_000
 
 // Core is the shrinker's result: a verdict on why solving failed.
 type Core struct {
@@ -43,10 +40,7 @@ type Core struct {
 // becomes satisfiable. The surviving set is a minimal conflicting core —
 // the smallest (inclusion-wise) set of encoding rules that together admit
 // no schedule.
-func MinimizeUnsat(sys *constraints.System, opts MUSOptions) *Core {
-	if opts.Budget <= 0 {
-		opts.Budget = 200_000
-	}
+func MinimizeUnsat(sys *constraints.System) *Core {
 	groups := sys.Groups()
 	keep := make([]bool, len(groups))
 	for i := range keep {
@@ -55,7 +49,7 @@ func MinimizeUnsat(sys *constraints.System, opts MUSOptions) *Core {
 	core := &Core{}
 
 	core.Checks++
-	switch check(sys, groups, keep, opts.Budget) {
+	switch check(sys, groups, keep, musBudget) {
 	case vSat:
 		core.Satisfiable = true
 		return core
@@ -69,7 +63,7 @@ func MinimizeUnsat(sys *constraints.System, opts MUSOptions) *Core {
 	for i := range groups {
 		keep[i] = false
 		core.Checks++
-		switch check(sys, groups, keep, opts.Budget) {
+		switch check(sys, groups, keep, musBudget) {
 		case vUnsat:
 			// still conflicting without it: delete permanently
 		case vSat:

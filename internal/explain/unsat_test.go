@@ -66,7 +66,7 @@ func TestGroupsPartition(t *testing.T) {
 
 func TestMinimizeUnsatSatisfiable(t *testing.T) {
 	sys := freshSystem(t)
-	core := explain.MinimizeUnsat(sys, explain.MUSOptions{})
+	core := explain.MinimizeUnsat(sys)
 	if !core.Satisfiable {
 		t.Fatalf("sim_race's real system should be satisfiable, got unsat=%v", core.Unsat)
 	}
@@ -88,7 +88,7 @@ func TestMinimizeUnsatCycle(t *testing.T) {
 	a, b := sys.Threads[0][0], sys.Threads[1][0]
 	sys.HardEdges = append(sys.HardEdges, [2]constraints.SAPRef{a, b}, [2]constraints.SAPRef{b, a})
 
-	core := explain.MinimizeUnsat(sys, explain.MUSOptions{})
+	core := explain.MinimizeUnsat(sys)
 	if !core.Unsat {
 		t.Fatal("constructed cycle not reported unsat")
 	}
@@ -114,7 +114,7 @@ func TestMinimizeUnsatFalseBug(t *testing.T) {
 	sys := freshSystem(t)
 	// A bug predicate that cannot hold: the core must be {fbug} alone.
 	sys.Bug = symbolic.Bool(false)
-	core := explain.MinimizeUnsat(sys, explain.MUSOptions{})
+	core := explain.MinimizeUnsat(sys)
 	if !core.Unsat {
 		t.Fatal("false bug predicate not reported unsat")
 	}

@@ -47,42 +47,31 @@ import (
 // handed to Analyze (same convention as explain.AlignRecorded).
 const NoTime int64 = -1
 
+// Analysis budgets.
+const (
+	// maxPairsPerSite bounds how many SAP pairs are examined per distinct
+	// source-site pair. A site group larger than the budget can still be
+	// confirmed, but never refuted.
+	maxPairsPerSite = 4
+	// solverRounds caps the CNF theory-refinement rounds per adjacency
+	// query. Round budgets keep verdicts deterministic, so there is no
+	// per-query wall-clock deadline by default.
+	solverRounds = 60
+	// maxSolverCalls bounds the total CNF queries per recording;
+	// exhausted groups report unknown.
+	maxSolverCalls = 64
+)
+
 // Options tunes the analysis.
 type Options struct {
-	// MaxPairsPerSite bounds how many SAP pairs are examined per distinct
-	// source-site pair (default 4). A site group larger than the budget
-	// can still be confirmed, but never refuted.
-	MaxPairsPerSite int
-	// SolverRounds caps the CNF theory-refinement rounds per adjacency
-	// query (default 60). Round budgets keep verdicts deterministic, so
-	// there is no per-query wall-clock deadline by default.
-	SolverRounds int
-	// MaxSolverCalls bounds the total CNF queries per recording (default
-	// 64); exhausted groups report unknown.
-	MaxSolverCalls int
 	// NoPerturb disables the recorded-order perturbation fast path,
 	// forcing every surviving pair through the CNF session.
 	NoPerturb bool
-	// NoSolver disables the CNF fallback (fast path only); groups the
-	// fast path cannot confirm report unknown.
-	NoSolver bool
 	// Ctx cancels the analysis between pairs and inside CNF queries.
 	Ctx context.Context
 	// Deadline bounds the whole analysis (0 = none); groups past it
 	// report unknown.
 	Deadline time.Duration
-}
-
-func (o *Options) fill() {
-	if o.MaxPairsPerSite == 0 {
-		o.MaxPairsPerSite = 4
-	}
-	if o.SolverRounds == 0 {
-		o.SolverRounds = 60
-	}
-	if o.MaxSolverCalls == 0 {
-		o.MaxSolverCalls = 64
-	}
 }
 
 // Status is a site pair's verdict.
@@ -237,8 +226,8 @@ type analyzer struct {
 	recordedPos []int                // SAPRef → position in recorded
 	recordedW   *constraints.Witness
 	moveBuf     []constraints.SAPRef
-	reach       *reachability
-	dynSites    map[siteKey]bool // site pairs with a dynamic group
+	reach       *constraints.Reach // program order plus hard edges, or nil
+	dynSites    map[siteKey]bool   // site pairs with a dynamic group
 
 	sess     *cnfsolver.Session
 	sessErr  error
@@ -256,7 +245,6 @@ func Analyze(sys *constraints.System, static *staticanalysis.Result, times []int
 	if sys == nil {
 		return nil, fmt.Errorf("races: nil constraint system")
 	}
-	opts.fill()
 	a := &analyzer{sys: sys, static: static, opts: opts}
 	if opts.Deadline > 0 {
 		a.deadline = time.Now().Add(opts.Deadline)
@@ -342,7 +330,15 @@ func (a *analyzer) enumerate() []group {
 	}
 	sort.Ints(vars)
 
-	a.reach = buildReach(sys)
+	// A cyclic graph (impossible for a consistent recording) leaves reach
+	// nil, which disables the filter rather than mis-pruning.
+	edges := append([][2]constraints.SAPRef(nil), sys.HardEdges...)
+	for _, refs := range sys.Threads {
+		for k := 0; k+1 < len(refs); k++ {
+			edges = append(edges, [2]constraints.SAPRef{refs[k], refs[k+1]})
+		}
+	}
+	a.reach = constraints.NewReach(len(sys.SAPs), edges)
 	a.dynSites = map[siteKey]bool{}
 	groups := map[siteKey]*group{}
 	var order []siteKey
@@ -358,7 +354,7 @@ func (a *analyzer) enumerate() []group {
 				if x.Kind != symexec.SAPWrite && y.Kind != symexec.SAPWrite {
 					continue
 				}
-				if !maybeSameAddr(x, y) {
+				if _, maybe := symexec.SameCell(x, y); !maybe {
 					continue
 				}
 				a.counters.Pairs++
@@ -411,7 +407,7 @@ func (a *analyzer) pruned(x, y *symexec.SAP, rx, ry constraints.SAPRef) bool {
 			return true
 		}
 	}
-	if a.reach != nil && (a.reach.ordered(rx, ry) || a.reach.ordered(ry, rx)) {
+	if a.reach != nil && (a.reach.Reaches(rx, ry) || a.reach.Reaches(ry, rx)) {
 		// Every hard-edge path between two memory SAPs of different
 		// threads crosses a cross-thread edge between two sync SAPs, so
 		// an ordered pair always has synchronization between its accesses
@@ -467,10 +463,7 @@ func (a *analyzer) decide(g group) Finding {
 	f := Finding{Var: g.key.v, Pairs: len(g.pairs)}
 	f.A, f.B = a.accessPair(g.pairs[0])
 
-	budget := a.opts.MaxPairsPerSite
-	if budget > len(g.pairs) {
-		budget = len(g.pairs)
-	}
+	budget := min(maxPairsPerSite, len(g.pairs))
 	var solverQueue []pair
 	for _, p := range g.pairs[:budget] {
 		if a.interrupted() {
@@ -485,17 +478,13 @@ func (a *analyzer) decide(g group) Finding {
 		solverQueue = append(solverQueue, p)
 	}
 
-	if a.opts.NoSolver {
-		f.Status, f.How = Unknown, "no-solver"
-		return f
-	}
 	refuted := 0
 	for _, p := range solverQueue {
 		if a.interrupted() {
 			f.Status, f.How = Unknown, "deadline"
 			return f
 		}
-		if a.counters.SolverCalls >= a.opts.MaxSolverCalls {
+		if a.counters.SolverCalls >= maxSolverCalls {
 			f.Status, f.How = Unknown, "solver-budget"
 			return f
 		}
@@ -585,13 +574,13 @@ func (a *analyzer) blockMove(ra, rb constraints.SAPRef, i, j int) *constraints.W
 	buf := a.moveBuf[:0]
 	buf = append(buf, a.recorded[:i]...)
 	for k := i + 1; k < j; k++ {
-		if !a.reach.ordered(ra, a.recorded[k]) {
+		if !a.reach.Reaches(ra, a.recorded[k]) {
 			buf = append(buf, a.recorded[k])
 		}
 	}
 	buf = append(buf, ra, rb)
 	for k := i + 1; k < j; k++ {
-		if a.reach.ordered(ra, a.recorded[k]) {
+		if a.reach.Reaches(ra, a.recorded[k]) {
 			buf = append(buf, a.recorded[k])
 		}
 	}
@@ -631,7 +620,7 @@ func (a *analyzer) validateMove(from, to int) *constraints.Witness {
 func (a *analyzer) solvePair(p pair) (*constraints.Witness, Status) {
 	if a.sess == nil && a.sessErr == nil {
 		opts := cnfsolver.Options{
-			MaxTheoryRounds: a.opts.SolverRounds,
+			MaxTheoryRounds: solverRounds,
 			Ctx:             a.opts.Ctx,
 		}
 		if !a.deadline.IsZero() {
@@ -717,16 +706,6 @@ func (a *analyzer) staticOnly() []Finding {
 	return out
 }
 
-func maybeSameAddr(a, b *symexec.SAP) bool {
-	if a.Var != b.Var {
-		return false
-	}
-	if a.Addr != symexec.NoAddr && b.Addr != symexec.NoAddr {
-		return a.Addr == b.Addr
-	}
-	return true
-}
-
 func statusRank(s Status) int {
 	switch s {
 	case Confirmed:
@@ -760,79 +739,4 @@ func posLess(a, b minic.Pos) bool {
 		return a.Line < b.Line
 	}
 	return a.Col < b.Col
-}
-
-// reachability is the transitive closure of program order plus the
-// system's hard edges, as per-SAP bitsets.
-type reachability struct {
-	n     int
-	words int
-	bits  []uint64
-}
-
-func (r *reachability) set(a, b int)      { r.bits[a*r.words+b/64] |= 1 << (b % 64) }
-func (r *reachability) has(a, b int) bool { return r.bits[a*r.words+b/64]&(1<<(b%64)) != 0 }
-func (r *reachability) or(dst, src int) {
-	d := r.bits[dst*r.words : (dst+1)*r.words]
-	s := r.bits[src*r.words : (src+1)*r.words]
-	for i := range d {
-		d[i] |= s[i]
-	}
-}
-
-// ordered reports a →* b.
-func (r *reachability) ordered(a, b constraints.SAPRef) bool { return r.has(int(a), int(b)) }
-
-// buildReach computes reachability over program order and hard edges with
-// one reverse-topological sweep. A cyclic graph (impossible for a
-// consistent recording) disables the filter rather than mis-pruning.
-func buildReach(sys *constraints.System) *reachability {
-	n := len(sys.SAPs)
-	if n == 0 {
-		return nil
-	}
-	succs := make([][]int32, n)
-	indeg := make([]int, n)
-	addEdge := func(a, b int) {
-		succs[a] = append(succs[a], int32(b))
-		indeg[b]++
-	}
-	for _, refs := range sys.Threads {
-		for k := 0; k+1 < len(refs); k++ {
-			addEdge(int(refs[k]), int(refs[k+1]))
-		}
-	}
-	for _, e := range sys.HardEdges {
-		addEdge(int(e[0]), int(e[1]))
-	}
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	topo := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		topo = append(topo, v)
-		for _, s := range succs[v] {
-			if indeg[s]--; indeg[s] == 0 {
-				queue = append(queue, int(s))
-			}
-		}
-	}
-	if len(topo) != n {
-		return nil
-	}
-	r := &reachability{n: n, words: (n + 63) / 64}
-	r.bits = make([]uint64, n*r.words)
-	for i := len(topo) - 1; i >= 0; i-- {
-		v := topo[i]
-		for _, s := range succs[v] {
-			r.set(v, int(s))
-			r.or(v, int(s))
-		}
-	}
-	return r
 }

@@ -25,8 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/constraints"
-	"repro/internal/ir"
-	"repro/internal/symexec"
 	"repro/internal/trace"
 )
 
@@ -83,89 +81,20 @@ type Generator struct {
 	allCSPs   []CSP
 	cspsBuilt bool
 	st        genState
-	ws        *walkState
-	used      []bool
-	cspAt     map[[2]int]trace.ThreadID
+	// gate holds a lock acquisition or an unsignaled wake back, so a
+	// blocked thread does not look ready. It is the gate the validator's
+	// preemption count uses (constraints.SyncGate), and the two must
+	// agree: the walk charges a switch as a preemption exactly when the
+	// switched-away thread was ready, and the preemption-bounded sweep
+	// finds a schedule at its true bound only if that charge matches the
+	// witness's count.
+	gate  *constraints.SyncGate
+	used  []bool
+	cspAt map[[2]int]trace.ThreadID
 	// readyBufs are per-depth ready-set buffers for the relaxed walk: slot
 	// 2d holds the depth-d ready set being iterated, slot 2d+1 the
 	// transient probes of other threads at depth d.
 	readyBufs [][]constraints.SAPRef
-}
-
-// walkState tracks the semantic gates during a generation walk: mutex
-// ownership and signal availability. Without it, a thread blocked at a
-// lock acquisition or an unsignaled wake would look "ready", switches
-// away from it would be charged as preemptions, and the preemption-bounded
-// sweep would miss valid schedules at their true bound.
-type walkState struct {
-	sys        *constraints.System
-	lockHeld   map[ir.SyncID]bool
-	signals    map[ir.SyncID]int // scheduled signals per cond
-	broadcasts map[ir.SyncID]int
-	wakes      map[ir.SyncID]int // consumed wakes per cond
-}
-
-func newWalkState(sys *constraints.System) *walkState {
-	return &walkState{
-		sys:        sys,
-		lockHeld:   map[ir.SyncID]bool{},
-		signals:    map[ir.SyncID]int{},
-		broadcasts: map[ir.SyncID]int{},
-		wakes:      map[ir.SyncID]int{},
-	}
-}
-
-// gateOK reports whether SAP r can execute under the current lock/signal
-// state (an approximation of the replay semantics; validation stays
-// exact).
-func (ws *walkState) gateOK(r constraints.SAPRef) bool {
-	s := ws.sys.SAP(r)
-	switch s.Kind {
-	case symexec.SAPLock:
-		return !ws.lockHeld[s.Mutex]
-	case symexec.SAPWaitEnd:
-		if ws.lockHeld[s.Mutex] {
-			return false
-		}
-		return ws.broadcasts[s.Cond] > 0 || ws.signals[s.Cond] > ws.wakes[s.Cond]
-	}
-	return true
-}
-
-// apply updates the state for scheduling r.
-func (ws *walkState) apply(r constraints.SAPRef) {
-	s := ws.sys.SAP(r)
-	switch s.Kind {
-	case symexec.SAPLock:
-		ws.lockHeld[s.Mutex] = true
-	case symexec.SAPUnlock, symexec.SAPWaitBegin:
-		ws.lockHeld[s.Mutex] = false
-	case symexec.SAPWaitEnd:
-		ws.lockHeld[s.Mutex] = true
-		ws.wakes[s.Cond]++
-	case symexec.SAPSignal:
-		ws.signals[s.Cond]++
-	case symexec.SAPBroadcast:
-		ws.broadcasts[s.Cond]++
-	}
-}
-
-// undo reverts apply(r).
-func (ws *walkState) undo(r constraints.SAPRef) {
-	s := ws.sys.SAP(r)
-	switch s.Kind {
-	case symexec.SAPLock:
-		ws.lockHeld[s.Mutex] = false
-	case symexec.SAPUnlock, symexec.SAPWaitBegin:
-		ws.lockHeld[s.Mutex] = true
-	case symexec.SAPWaitEnd:
-		ws.lockHeld[s.Mutex] = false
-		ws.wakes[s.Cond]--
-	case symexec.SAPSignal:
-		ws.signals[s.Cond]--
-	case symexec.SAPBroadcast:
-		ws.broadcasts[s.Cond]--
-	}
 }
 
 // Result is the outcome of one generation run.
@@ -195,7 +124,7 @@ func NewGenerator(sys *constraints.System, opts Options) *Generator {
 			g.crossPreds[b] = append(g.crossPreds[b], a)
 		}
 	}
-	g.ws = newWalkState(sys)
+	g.gate = sys.NewSyncGate()
 	g.cspAt = map[[2]int]trace.ThreadID{}
 	return g
 }
@@ -354,8 +283,7 @@ func (st *genState) reset(nt, n, total int) {
 
 // generateForSet produces every schedule consistent with the CSP set. The
 // walk state lives on the Generator and is reset here, not reallocated:
-// apply/undo leave the lock/signal maps balanced back to empty, and the
-// dense slices are cleared in place.
+// the gate is emptied, and the dense slices are cleared in place.
 func (g *Generator) generateForSet(set []CSP, emit func([]constraints.SAPRef, int), stop *bool, nodes *int) {
 	total := 0
 	for _, refs := range g.perThread {
@@ -363,11 +291,8 @@ func (g *Generator) generateForSet(set []CSP, emit func([]constraints.SAPRef, in
 	}
 	st := &g.st
 	st.reset(len(g.perThread), len(g.sys.SAPs), total)
-	ws := g.ws
-	clear(ws.lockHeld)
-	clear(ws.signals)
-	clear(ws.broadcasts)
-	clear(ws.wakes)
+	gate := g.gate
+	gate.Reset()
 	// cspAt[t][k] = preempting thread, from the set.
 	cspAt := g.cspAt
 	clear(cspAt)
@@ -403,7 +328,7 @@ func (g *Generator) generateForSet(set []CSP, emit func([]constraints.SAPRef, in
 				}
 			}
 		}
-		return ws.gateOK(r)
+		return gate.Enabled(r)
 	}
 	run = func(cur int) {
 		if *stop {
@@ -460,12 +385,12 @@ func (g *Generator) generateForSet(set []CSP, emit func([]constraints.SAPRef, in
 			st.next[cur]++
 			st.scheduled[r] = true
 			st.order = append(st.order, r)
-			ws.apply(r)
+			gate.Apply(r)
 			prevLast := lastThread
 			lastThread = cur
 			run(cur)
 			lastThread = prevLast
-			ws.undo(r)
+			gate.Undo(r)
 			st.order = st.order[:len(st.order)-1]
 			st.scheduled[r] = false
 			st.next[cur]--
@@ -546,11 +471,8 @@ func (g *Generator) GenerateRelaxed(c int, sink Sink) Result {
 	st.reset(len(g.perThread), len(g.sys.SAPs), total)
 	scheduled := st.scheduled
 	order := st.order
-	ws := g.ws
-	clear(ws.lockHeld)
-	clear(ws.signals)
-	clear(ws.broadcasts)
-	clear(ws.wakes)
+	gate := g.gate
+	gate.Reset()
 	// readyInto computes thread t's ready set into the per-depth scratch
 	// slot, so the walk allocates nothing per node. The slot being iterated
 	// at depth d is 2d; probes of other threads use 2d+1; deeper recursion
@@ -579,7 +501,7 @@ func (g *Generator) GenerateRelaxed(c int, sink Sink) Result {
 					}
 				}
 			}
-			if ok && ws.gateOK(r) {
+			if ok && gate.Enabled(r) {
 				out = append(out, r)
 			}
 		}
@@ -612,9 +534,9 @@ func (g *Generator) GenerateRelaxed(c int, sink Sink) Result {
 			for _, r := range ready {
 				scheduled[r] = true
 				order = append(order, r)
-				ws.apply(r)
+				gate.Apply(r)
 				walk(cur, switches, depth+1, false)
-				ws.undo(r)
+				gate.Undo(r)
 				order = order[:len(order)-1]
 				scheduled[r] = false
 				if stop {

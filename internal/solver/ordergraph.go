@@ -3,7 +3,8 @@ package solver
 import "repro/internal/constraints"
 
 // OrderGraph exposes the solver's Pearce–Kelly order graph (ordgraph.go)
-// to other packages. The CNF backend's lazy-transitivity loop uses it as
+// to other packages. The explain package's backtracking MUS oracle uses
+// it with Mark/UndoTo. The CNF backend's lazy-transitivity loop uses it as
 // the theory oracle: after each SAT model it orients every allocated pair
 // variable into the graph; the first edge that closes a cycle yields a
 // refinement lemma, and when every edge inserts cleanly the maintained
@@ -30,6 +31,13 @@ func NewOrderGraph(n int) *OrderGraph {
 // AddEdge inserts a < b, reporting false (and leaving the graph
 // unchanged) when the edge would close a cycle.
 func (o *OrderGraph) AddEdge(a, b constraints.SAPRef) bool { return o.g.addEdge(a, b) }
+
+// Mark returns an undo point for UndoTo.
+func (o *OrderGraph) Mark() int { return o.g.mark() }
+
+// UndoTo removes every edge added after mark, last in first out. Like
+// Reset, it keeps the topological ranks.
+func (o *OrderGraph) UndoTo(mark int) { o.g.undoTo(mark) }
 
 // Reset removes every edge. The topological ranks are kept — they remain
 // a valid order for the empty graph, and preserving them across rounds

@@ -52,40 +52,44 @@ const (
 	// keeping minimal-mode sweeps from wandering exponentially at
 	// infeasible bounds.
 	extendNodeBudget = 10_000
+	// minimalSearchLimit caps the iterative-deepening bound in minimal
+	// mode; failures needing more preemptions are solved with an explicit
+	// MaxPreemptions bound, as the racey stress test is.
+	minimalSearchLimit = 16
+	// genFallbackBound: for preemption bounds up to this value the solver
+	// first tries exhaustive bounded schedule generation with validation —
+	// at low bounds the schedule space is small and enumeration decides
+	// satisfiability exactly and cheaply, where the mapping search would
+	// grind through huge numbers of order-infeasible mappings.
+	genFallbackBound = 3
+)
+
+// Search budgets that tests starve to reach the rescue pass.
+var (
+	// genScheduleBudget caps the fallback enumeration (candidates); on
+	// overflow the mapping search takes over for the bound.
+	genScheduleBudget = 40_000
+	// genEscalateBudget is the enumeration cap for the minimal-mode rescue
+	// pass: when the whole bound sweep fails but some low bound's
+	// enumeration had been capped, those bounds are re-enumerated with
+	// this budget before the solver declares unsat — the enumerator
+	// decides low bounds exactly where the budgeted mapping search may
+	// thrash. Negative disables the pass.
+	genEscalateBudget = 2_000_000
+	// boundDecisionBudget caps mapping-search decisions per bound in
+	// minimal mode: rather than prove an infeasible low bound
+	// unsatisfiable exhaustively, the sweep moves on — minimality becomes
+	// approximate, matching the paper's own segment-based approximation of
+	// context switches.
+	boundDecisionBudget int64 = 60_000
 )
 
 // Options tunes the search.
 type Options struct {
 	// MaxPreemptions bounds the schedule's preemptive context switches.
 	// Negative means iterate 0,1,2,… and return the minimal one found
-	// (bounded by MinimalSearchLimit).
+	// (up to 16 preemptions).
 	MaxPreemptions int
-	// MinimalSearchLimit caps the iterative-deepening bound in minimal
-	// mode (default 16; failures needing more preemptions should be solved
-	// with an explicit MaxPreemptions bound, as the racey stress test is).
-	MinimalSearchLimit int
-	// GenFallbackBound: for preemption bounds up to this value the solver
-	// first tries exhaustive bounded schedule generation with validation —
-	// at low bounds the schedule space is small and enumeration decides
-	// satisfiability exactly and cheaply, where the mapping search would
-	// grind through huge numbers of order-infeasible mappings. Default 3.
-	GenFallbackBound int
-	// GenScheduleBudget caps that enumeration (default 40_000 candidates);
-	// on overflow the mapping search takes over for the bound.
-	GenScheduleBudget int
-	// GenEscalateBudget is the enumeration cap for the minimal-mode rescue
-	// pass: when the whole bound sweep fails but some low bound's
-	// enumeration had been capped, those bounds are re-enumerated with this
-	// budget before the solver declares unsat — the enumerator decides low
-	// bounds exactly where the budgeted mapping search may thrash. Default
-	// 2_000_000 candidates; negative disables the pass.
-	GenEscalateBudget int
-	// BoundDecisionBudget caps mapping-search decisions per bound in
-	// minimal mode (default 60_000): rather than prove an infeasible low
-	// bound unsatisfiable exhaustively, the sweep moves on — minimality
-	// becomes approximate, matching the paper's own segment-based
-	// approximation of context switches.
-	BoundDecisionBudget int64
 	// CapturePartial, when set, keeps a snapshot of the order graph's
 	// topological order at the deepest decision prefix the search reached,
 	// in Stats.Partial. For failed or interrupted solves this is the
@@ -104,24 +108,6 @@ type Options struct {
 	// Deadline bounds the solve's wall time (0 = none). It composes with
 	// Ctx: whichever fires first interrupts the search.
 	Deadline time.Duration
-}
-
-func (o *Options) fill() {
-	if o.MinimalSearchLimit == 0 {
-		o.MinimalSearchLimit = 16
-	}
-	if o.GenFallbackBound == 0 {
-		o.GenFallbackBound = 3
-	}
-	if o.GenScheduleBudget == 0 {
-		o.GenScheduleBudget = 40_000
-	}
-	if o.GenEscalateBudget == 0 {
-		o.GenEscalateBudget = 2_000_000
-	}
-	if o.BoundDecisionBudget == 0 {
-		o.BoundDecisionBudget = 60_000
-	}
 }
 
 // Solution is a bug-reproducing schedule.
@@ -173,7 +159,6 @@ func (e *Interrupted) Error() string {
 
 // Solve runs the decision procedure.
 func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
-	opts.fill()
 	s := &search{sys: sys, opts: opts, stats: &Stats{}, maxDepth: -1}
 	if opts.Deadline > 0 {
 		s.deadline = time.Now().Add(opts.Deadline)
@@ -192,9 +177,9 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 	// context switch, and increment ... until a solution is found"). Each
 	// bound gets a bounded effort so one infeasible bound cannot stall the
 	// sweep.
-	s.boundBudget = opts.BoundDecisionBudget
-	s.genCapped = make([]bool, opts.GenFallbackBound+1)
-	for c := 0; c <= opts.MinimalSearchLimit; c++ {
+	s.boundBudget = boundDecisionBudget
+	s.genCapped = make([]bool, genFallbackBound+1)
+	for c := 0; c <= minimalSearchLimit; c++ {
 		s.boundStart = s.stats.Decisions
 		s.stats.BoundReached = c
 		sol, err := s.solveWithBound(c)
@@ -211,16 +196,16 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 	// schedule can sit far into the generation stream yet be cheap to reach
 	// by streaming validation). Re-enumerate those bounds, in order, with
 	// the escalated budget; bounds the first pass proved empty stay proved.
-	if opts.GenEscalateBudget > 0 {
+	if genEscalateBudget > 0 {
 		stillCapped := false
-		for c := 0; c <= min(opts.GenFallbackBound, opts.MinimalSearchLimit); c++ {
+		for c := 0; c <= min(genFallbackBound, minimalSearchLimit); c++ {
 			if !s.genCapped[c] {
 				continue
 			}
 			s.bound = c
 			s.stats.BoundReached = c
 			sol, decided := s.tryGenerate(c, genLimits{
-				MaxSchedules: opts.GenEscalateBudget,
+				MaxSchedules: genEscalateBudget,
 				MaxCSPSets:   10_000_000,
 				MaxWalkNodes: 500_000_000,
 			})
@@ -238,10 +223,10 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 			// Even the escalated enumeration overflowed its budget, so the
 			// low bounds remain undecided — a generic "no schedule" verdict
 			// here would misreport budget exhaustion as unsatisfiability.
-			return nil, s.stats, fmt.Errorf("solver: rescue enumeration exhausted its budget with low preemption bounds undecided (escalate budget %d)", opts.GenEscalateBudget)
+			return nil, s.stats, fmt.Errorf("solver: rescue enumeration exhausted its budget with low preemption bounds undecided (escalate budget %d)", genEscalateBudget)
 		}
 	}
-	return nil, s.stats, &Unsat{Reason: fmt.Sprintf("no schedule within %d preemptions", opts.MinimalSearchLimit)}
+	return nil, s.stats, &Unsat{Reason: fmt.Sprintf("no schedule within %d preemptions", minimalSearchLimit)}
 }
 
 // decision is one finite-domain choice point.
@@ -560,9 +545,9 @@ func (s *search) solveWithBound(bound int) (*Solution, error) {
 	if ierr := s.interrupted(); ierr != nil {
 		return nil, ierr
 	}
-	if bound <= s.opts.GenFallbackBound {
+	if bound <= genFallbackBound {
 		sol, decided := s.tryGenerate(bound, genLimits{
-			MaxSchedules: s.opts.GenScheduleBudget,
+			MaxSchedules: genScheduleBudget,
 			MaxCSPSets:   200_000,
 			MaxWalkNodes: 5_000_000,
 		})
@@ -742,7 +727,7 @@ func (s *search) decide(i int) (*Solution, error) {
 					// writes pruned from the candidate set, which still exist
 					// in the schedule.
 					for _, w2 := range ri.AllRivals() {
-						same := s.definitelySame(r, w2)
+						same, _ := symexec.SameCell(s.sys.SAP(r), s.sys.SAP(w2))
 						if !same {
 							if known, eq := addrMatch(addrKnown, addrOfRef, r, w2); known && eq {
 								same = true
@@ -811,13 +796,6 @@ func (s *search) decide(i int) (*Solution, error) {
 	return nil, fmt.Errorf("solver: unknown decision kind")
 }
 
-// definitelySame reports whether two memory SAPs definitely share an
-// address.
-func (s *search) definitelySame(a, b constraints.SAPRef) bool {
-	x, y := s.sys.SAP(a), s.sys.SAP(b)
-	return x.Var == y.Var && x.Addr != symexec.NoAddr && y.Addr != symexec.NoAddr && x.Addr == y.Addr
-}
-
 // resolveAddrs attempts to concretize the addresses of a read and all its
 // candidate writes under the current partial mapping. It returns a map of
 // resolved addresses keyed by SAPRef (addrKnown[x] reports resolvability).
@@ -863,7 +841,7 @@ func (s *search) placeRivals(ri constraints.ReadInfo, w, r constraints.SAPRef, r
 		if w2 == w {
 			continue
 		}
-		if !s.definitelySame(ri.Read, w2) {
+		if same, _ := symexec.SameCell(s.sys.SAP(ri.Read), s.sys.SAP(w2)); !same {
 			known, same := addrMatch(addrKnown, addrOf, ri.Read, w2)
 			if !known || !same {
 				continue // unresolved or different cell: no interval constraint
@@ -903,9 +881,16 @@ func (s *search) placeRivals(ri constraints.ReadInfo, w, r constraints.SAPRef, r
 // complete is called with all decisions made: evaluate values, check Fpath
 // and Fbug, then extract and validate a minimal linear extension.
 func (s *search) complete() (*Solution, error) {
-	env, err := s.evalEnv()
-	if err != nil {
-		return nil, &Unsat{Reason: err.Error()}
+	// Resolve every decided read's value. The address-mismatch flag is not
+	// consulted here: validation below checks addresses exactly.
+	env := &partialEnv{s: s, vals: map[symbolic.SymID]int64{}}
+	for i := range s.sys.Reads {
+		if s.sys.Reads[i].Free {
+			continue // outside the cone: undecided by design, never observed
+		}
+		if _, err := env.resolve(s.sys.SAP(s.sys.Reads[i].Read).Sym.ID, 0); err != nil {
+			return nil, &Unsat{Reason: err.Error()}
+		}
 	}
 	for _, c := range s.sys.Path {
 		ok, err := symbolic.EvalBool(c, env)
@@ -949,68 +934,4 @@ func (s *search) complete() (*Solution, error) {
 		lastErr = fmt.Errorf("no linear extension within %d preemptions", s.bound)
 	}
 	return nil, &Unsat{Reason: lastErr.Error()}
-}
-
-// evalEnv computes the concrete value of every read under the chosen
-// mapping. Values are evaluated lazily with memoization; the order graph's
-// acyclicity guarantees termination.
-func (s *search) evalEnv() (symbolic.MapEnv, error) {
-	env := symbolic.MapEnv{}
-	// readIdxBySym: which read decision binds a symbol.
-	type src struct {
-		readIdx int
-	}
-	bySym := map[symbolic.SymID]src{}
-	for i, ri := range s.sys.Reads {
-		bySym[s.sys.SAP(ri.Read).Sym.ID] = src{readIdx: i}
-	}
-	var valueOf func(id symbolic.SymID, depth int) (int64, error)
-	valueOf = func(id symbolic.SymID, depth int) (int64, error) {
-		if v, ok := env[id]; ok {
-			return v, nil
-		}
-		if depth > len(s.sys.Reads)+1 {
-			return 0, fmt.Errorf("cyclic value dependency")
-		}
-		sc, ok := bySym[id]
-		if !ok {
-			return 0, fmt.Errorf("unknown symbol %d", id)
-		}
-		ri := s.sys.Reads[sc.readIdx]
-		choice := s.chosenWrite[sc.readIdx]
-		if choice == -2 {
-			return 0, fmt.Errorf("symbol %d decided later", id)
-		}
-		var val int64
-		if choice == -1 {
-			val = ri.Init
-		} else {
-			wexpr := s.sys.SAP(ri.Cands[choice]).Val
-			// Bind the write expression's dependencies first.
-			for _, dep := range symbolic.Syms(wexpr, nil, nil) {
-				if _, ok := env[dep]; !ok {
-					if _, err := valueOf(dep, depth+1); err != nil {
-						return 0, err
-					}
-				}
-			}
-			v, err := symbolic.EvalInt(wexpr, env)
-			if err != nil {
-				return 0, err
-			}
-			val = v
-		}
-		env[id] = val
-		return val, nil
-	}
-	for i := range s.sys.Reads {
-		if s.sys.Reads[i].Free {
-			continue // outside the cone: undecided by design, never observed
-		}
-		id := s.sys.SAP(s.sys.Reads[i].Read).Sym.ID
-		if _, err := valueOf(id, 0); err != nil {
-			return nil, err
-		}
-	}
-	return env, nil
 }

@@ -137,6 +137,14 @@ func main() {
 }
 `
 
+// setBudgets overrides the search budgets for one test and restores them
+// when it ends.
+func setBudgets(t *testing.T, schedules, escalate int, decisions int64) {
+	oldS, oldE, oldD := genScheduleBudget, genEscalateBudget, boundDecisionBudget
+	t.Cleanup(func() { genScheduleBudget, genEscalateBudget, boundDecisionBudget = oldS, oldE, oldD })
+	genScheduleBudget, genEscalateBudget, boundDecisionBudget = schedules, escalate, decisions
+}
+
 // TestGenEscalationRescue pins the minimal-mode rescue pass: with the
 // first-pass enumeration budget and the per-bound mapping budget both
 // starved, the sweep alone fails, and only the escalated re-enumeration of
@@ -144,11 +152,8 @@ func main() {
 // turn the same solve unsatisfiable.
 func TestGenEscalationRescue(t *testing.T) {
 	sys := buildFailingSystem(t, dekkerTSOSrc, vm.TSO, 3000)
-	starved := Options{
-		MaxPreemptions:      -1,
-		GenScheduleBudget:   1,
-		BoundDecisionBudget: 1,
-	}
+	setBudgets(t, 1, genEscalateBudget, 1)
+	starved := Options{MaxPreemptions: -1}
 	sol, stats, err := Solve(sys, starved)
 	if err != nil {
 		t.Fatalf("rescue pass did not recover: %v (stats %+v)", err, stats)
@@ -156,7 +161,7 @@ func TestGenEscalationRescue(t *testing.T) {
 	if _, err := sys.ValidateSchedule(sol.Order); err != nil {
 		t.Fatalf("rescued solution does not validate: %v", err)
 	}
-	starved.GenEscalateBudget = -1
+	genEscalateBudget = -1
 	if _, _, err := Solve(sys, starved); err == nil {
 		t.Fatal("starved solve without escalation should be unsatisfiable")
 	} else if _, ok := err.(*Unsat); !ok {
@@ -179,13 +184,9 @@ func TestRescueBudgetExhaustionNotUnsat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved := Options{
-		MaxPreemptions:      -1,
-		MinimalSearchLimit:  3,
-		GenScheduleBudget:   1,
-		GenEscalateBudget:   1,
-		BoundDecisionBudget: 1,
-	}
+	defaultEscalate := genEscalateBudget
+	setBudgets(t, 1, 1, 1)
+	starved := Options{MaxPreemptions: -1}
 	_, _, err = Solve(sysSC, starved)
 	if err == nil {
 		t.Fatal("starved solve of an unsatisfiable system returned a solution")
@@ -198,7 +199,7 @@ func TestRescueBudgetExhaustionNotUnsat(t *testing.T) {
 	}
 	// Control: with the default escalation budget the enumeration is
 	// exhaustive at every capped bound and the verdict is a true Unsat.
-	starved.GenEscalateBudget = 0
+	genEscalateBudget = defaultEscalate
 	if _, _, err := Solve(sysSC, starved); err == nil {
 		t.Fatal("unsatisfiable system solved")
 	} else if _, ok := err.(*Unsat); !ok {
@@ -359,7 +360,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Solve(sysSC, Options{MaxPreemptions: 6, MinimalSearchLimit: 6}); err == nil {
+	if _, _, err := Solve(sysSC, Options{MaxPreemptions: 6}); err == nil {
 		t.Fatal("the PSO-only bug must be unsatisfiable under the SC encoding")
 	}
 }
@@ -378,7 +379,7 @@ func TestSolveTSODekker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Solve(sysSC, Options{MaxPreemptions: 8, MinimalSearchLimit: 8}); err == nil {
+	if _, _, err := Solve(sysSC, Options{MaxPreemptions: 8}); err == nil {
 		t.Fatal("the TSO-only Dekker bug must be unsatisfiable under SC")
 	}
 }

@@ -3,6 +3,7 @@ package staticanalysis
 import (
 	"sort"
 
+	"repro/internal/escape"
 	"repro/internal/ir"
 )
 
@@ -179,7 +180,7 @@ func (a *analysis) concurrent(x, y Access) bool {
 	for _, r1 := range a.rootsOf[x.Fn] {
 		for _, r2 := range a.rootsOf[y.Fn] {
 			if r1 == r2 {
-				if a.rootMult[r1] == multMany {
+				if a.rootMult[r1] == escape.MultMany {
 					// Two instances of the same thread body are mutually
 					// unordered.
 					return true
@@ -204,7 +205,7 @@ func (a *analysis) concurrent(x, y Access) bool {
 // runsOnce reports whether root r's body executes exactly once: a
 // mult-one root never invoked as an ordinary function.
 func (a *analysis) runsOnce(r ir.FuncID) bool {
-	return a.rootMult[r] == multOne && !a.calledByLive[r]
+	return a.rootMult[r] == escape.MultOne && !a.calledByLive[r]
 }
 
 // spawnSeparated reports whether acc (running in root spawner) is ordered
@@ -268,7 +269,7 @@ func (a *analysis) rootAfterRoot(rEarly, rLate ir.FuncID) bool {
 			return false
 		}
 	}
-	if a.rootMult[f0] != multOne || a.calledByLive[f0] {
+	if a.rootMult[f0] != escape.MultOne || a.calledByLive[f0] {
 		return false
 	}
 	cfg := a.cfgs[f0]

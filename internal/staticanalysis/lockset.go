@@ -1,6 +1,9 @@
 package staticanalysis
 
-import "repro/internal/ir"
+import (
+	"repro/internal/escape"
+	"repro/internal/ir"
+)
 
 // The lockset pass runs two dataflow analyses over every function:
 //
@@ -75,7 +78,7 @@ func (a *analysis) locksets() {
 	entryM := make([]ir.LockSet, n)
 	entryY := make([]ir.LockSet, n)
 	for fi := range prog.Funcs {
-		if a.rootMult[fi] == multNone {
+		if a.rootMult[fi] == escape.MultNone {
 			entryM[fi] = top
 		}
 	}
@@ -107,7 +110,7 @@ func (a *analysis) locksets() {
 			}
 		}
 		for fi := range prog.Funcs {
-			if a.rootMult[fi] != multNone {
+			if a.rootMult[fi] != escape.MultNone {
 				continue // roots are pinned to the empty entry set
 			}
 			newM, newY := entryM[fi], entryY[fi]

@@ -203,12 +203,12 @@ type analysis struct {
 
 	callees   [][]ir.FuncID // direct call targets per function
 	callClose []map[ir.FuncID]bool
-	loops     []map[ir.BlockID]bool
 	cfgs      []*funcCFG
 
-	// rootMult is the thread multiplicity per root function (main plus
-	// every spawned function), saturating at "many" like escape.
-	rootMult []multiplicity
+	// rootMult and loops are the sharing analysis's thread-root
+	// multiplicities and per-function loop membership.
+	rootMult []escape.Multiplicity
+	loops    []map[ir.BlockID]bool
 	// spawnsOf lists the spawn sites per spawned function.
 	spawnsOf map[ir.FuncID][]spawnSite
 	// rootsOf caches which live roots each function can run in.
@@ -265,15 +265,16 @@ func Analyze(prog *ir.Program) *Result {
 	return a.res
 }
 
-// buildScaffolding computes the call graph, loop membership, per-function
-// CFG helpers, spawn sites with join mapping, and root multiplicities.
+// buildScaffolding computes the call graph, per-function CFG helpers and
+// spawn sites with join mapping; loop membership and root multiplicities
+// come from the sharing analysis.
 func (a *analysis) buildScaffolding() {
 	n := len(a.prog.Funcs)
 	a.callees = make([][]ir.FuncID, n)
-	a.loops = make([]map[ir.BlockID]bool, n)
+	a.loops = a.res.Sharing.Loops
+	a.rootMult = a.res.Sharing.Roots
 	a.cfgs = make([]*funcCFG, n)
 	for fi, fn := range a.prog.Funcs {
-		a.loops[fi] = blocksInLoops(fn)
 		a.cfgs[fi] = newFuncCFG(fn)
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
@@ -309,13 +310,11 @@ func (a *analysis) buildScaffolding() {
 		}
 	}
 
-	a.rootMultiplicities()
-
 	// rootsOf[f] = live roots whose call closure contains f.
 	a.rootsOf = make([][]ir.FuncID, n)
 	for fi := range a.prog.Funcs {
 		for r := range a.prog.Funcs {
-			if a.rootMult[r] == multNone {
+			if a.rootMult[r] == escape.MultNone {
 				continue
 			}
 			if a.callClose[r][ir.FuncID(fi)] {
@@ -347,56 +346,6 @@ func (a *analysis) buildScaffolding() {
 						a.waits[x.Obj] = append(a.waits[x.Obj], site)
 					}
 				}
-			}
-		}
-	}
-}
-
-// rootMultiplicities mirrors escape's thread-multiplicity fixpoint: main
-// runs once; a spawned function's multiplicity sums its spawn sites'
-// spawner multiplicities, saturated at many inside loops.
-func (a *analysis) rootMultiplicities() {
-	n := len(a.prog.Funcs)
-	a.rootMult = make([]multiplicity, n)
-	a.rootMult[a.prog.MainID] = multOne
-	for changed := true; changed; {
-		changed = false
-		runMult := make([]multiplicity, n)
-		for fi := range a.prog.Funcs {
-			if a.rootMult[fi] != multNone {
-				runMult[fi] = runMult[fi].add(a.rootMult[fi])
-			}
-		}
-		for again := true; again; {
-			again = false
-			for fi := range a.prog.Funcs {
-				for _, c := range a.callees[fi] {
-					combined := runMult[c].add(runMult[fi])
-					if combined != runMult[c] {
-						runMult[c] = combined
-						again = true
-					}
-				}
-			}
-		}
-		for f, sites := range a.spawnsOf {
-			var m multiplicity
-			for _, s := range sites {
-				sm := runMult[s.fn]
-				if sm == multNone {
-					continue
-				}
-				if s.inLoop {
-					sm = multMany
-				}
-				m = m.add(sm)
-			}
-			if f == a.prog.MainID {
-				m = m.add(multOne) // main also runs as the initial thread
-			}
-			if m != a.rootMult[f] {
-				a.rootMult[f] = m
-				changed = true
 			}
 		}
 	}
@@ -581,55 +530,4 @@ func posCmp(a, b minic.Pos) int {
 		return a.Line - b.Line
 	}
 	return a.Col - b.Col
-}
-
-// multiplicity saturates thread instance counts at "many" (escape's lattice).
-type multiplicity uint8
-
-const (
-	multNone multiplicity = iota
-	multOne
-	multMany
-)
-
-func (m multiplicity) add(o multiplicity) multiplicity {
-	s := uint8(m) + uint8(o)
-	if s >= uint8(multMany) {
-		return multMany
-	}
-	return multiplicity(s)
-}
-
-// blocksInLoops reports which blocks sit inside a natural loop (same
-// approximation as escape: on a cycle through a back edge).
-func blocksInLoops(fn *ir.Func) map[ir.BlockID]bool {
-	in := map[ir.BlockID]bool{}
-	back := fn.BackEdges()
-	if len(back) == 0 {
-		return in
-	}
-	reach := map[ir.BlockID]map[ir.BlockID]bool{}
-	var dfs func(from ir.BlockID, b *ir.Block)
-	dfs = func(from ir.BlockID, b *ir.Block) {
-		if reach[from][b.ID] {
-			return
-		}
-		reach[from][b.ID] = true
-		for _, s := range b.Succs() {
-			dfs(from, s)
-		}
-	}
-	for _, b := range fn.Blocks {
-		reach[b.ID] = map[ir.BlockID]bool{}
-		dfs(b.ID, b)
-	}
-	for e := range back {
-		src, dst := e[0], e[1]
-		for _, b := range fn.Blocks {
-			if reach[dst][b.ID] && reach[b.ID][src] {
-				in[b.ID] = true
-			}
-		}
-	}
-	return in
 }

@@ -118,6 +118,20 @@ type SAP struct {
 	Pos minic.Pos
 }
 
+// SameCell reports whether two memory SAPs definitely access the same
+// cell, and whether they may: the same variable, and either both
+// addresses concrete and equal or at least one symbolic.
+func SameCell(a, b *SAP) (definitely, maybe bool) {
+	if a.Var != b.Var {
+		return false, false
+	}
+	if a.Addr != NoAddr && b.Addr != NoAddr {
+		eq := a.Addr == b.Addr
+		return eq, eq
+	}
+	return false, true
+}
+
 // String renders the SAP for diagnostics.
 func (s *SAP) String() string {
 	id := fmt.Sprintf("t%d#%d:%s", s.Thread, s.Seq, s.Kind)
