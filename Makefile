@@ -8,11 +8,11 @@ FUZZ_TARGETS := ./internal/trace:FuzzDecodePathLog \
 	./internal/trace:FuzzDecodeSyncOrderLog \
 	./internal/clapd:FuzzDecodeBundle
 
-.PHONY: ci lint vet fmt-check build test e2ebench-check fuzz-smoke \
-	bench-gate vet-examples races-examples race-obs metrics-smoke \
-	timeline-smoke serve-smoke
+.PHONY: ci lint vet fmt-check build test e2ebench-check e2ebench-smoke \
+	fuzz-smoke bench-gate vet-examples races-examples race-obs \
+	metrics-smoke timeline-smoke serve-smoke
 
-ci: lint build test e2ebench-check vet-examples races-examples fuzz-smoke race-obs metrics-smoke timeline-smoke serve-smoke bench-gate
+ci: lint build test e2ebench-check e2ebench-smoke vet-examples races-examples fuzz-smoke race-obs metrics-smoke timeline-smoke serve-smoke bench-gate
 
 lint: vet fmt-check
 
@@ -55,6 +55,18 @@ test:
 # to an API it calls fails here rather than when the benchmark runs.
 e2ebench-check:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+# Product-path smoke: a one-second e2ebench run of each workload puts
+# every recording of the eleven programs through DecodeBundle → Rehydrate
+# → Reproduce. e2ebench exits 0 on an incorrect run, so the target checks
+# the result line itself.
+e2ebench-smoke:
+	@for w in repro-datarace repro-hard; do \
+		out=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
+			{ echo "e2ebench-smoke: $$w incorrect:"; echo "$$out" | tail -n 2; exit 1; }; \
+		echo "e2ebench-smoke: $$w ok"; \
+	done
 
 # CI smoke gate for the lazy-transitivity CNF core: solve the
 # historically slowest benchmarks (including symbolic-address racey,

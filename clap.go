@@ -39,9 +39,10 @@ const (
 	Parallel = core.Parallel
 	// CNF is the SAT encoding with a CDCL core.
 	CNF = core.CNF
-	// Portfolio runs Sequential for a short head start, then CNF with the
-	// rest of the budget, then Sequential again if CNF failed before the
-	// deadline without an unsat proof, recording the per-attempt trail in
+	// Portfolio runs Sequential for a 20 ms head start, then CNF with the
+	// rest of the budget, descending to the fewest preemptions it can
+	// prove, then Sequential again if CNF failed before the deadline
+	// without an unsat proof, recording the per-attempt trail in
 	// Reproduction.Attempts.
 	Portfolio = core.Portfolio
 )

@@ -48,7 +48,7 @@
 //	-input a,b,c        deterministic program inputs
 //	-solver seq|par|cnf|portfolio
 //	                    solving strategy (default seq); portfolio runs
-//	                    seq for a short head start, then cnf, then seq
+//	                    seq for a 20 ms head start, then cnf, then seq
 //	                    again if cnf failed without an unsat proof,
 //	                    printing the attempt trail
 //	-cs N               preemption bound (-1 = minimal, default)

@@ -124,9 +124,22 @@ type addrInfo struct {
 	used []symbolic.SymID
 }
 
+// positions returns each SAP's position in order, in reused scratch.
+func (e *encoder) positions(order []constraints.SAPRef) []int {
+	if cap(e.posBuf) < e.n {
+		e.posBuf = make([]int, e.n)
+	}
+	pos := e.posBuf[:e.n]
+	for p, ref := range order {
+		pos[ref] = p
+	}
+	return pos
+}
+
 // refineAddrSplit checks the model's read-from choices against the alias
 // classes induced by its address valuation and adds one lemma per
-// violation found. It returns the number of lemmas added and whether some
+// violation found, staged until the scan ends so that every check reads
+// the model. It returns the number of lemmas added and whether some
 // violation (or unresolvable address) had to be skipped because no sound
 // choice-level premise exists; the caller falls back to blockModel when
 // nothing targeted was learned. A (0, false) return certifies the model
@@ -169,8 +182,7 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 			// rejects any schedule realizing these choices, so forbid the
 			// consulted support outright.
 			if lits, sOK := e.suppLits(used, map[int]bool{}, nil); sOK {
-				e.add(lits...)
-				lemmas++
+				e.stage(lits...)
 			} else {
 				coarse = true
 			}
@@ -179,13 +191,7 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 		addrs[i] = addrInfo{addr: a, ok: true, used: used}
 	}
 
-	if cap(e.posBuf) < e.n {
-		e.posBuf = make([]int, e.n)
-	}
-	pos := e.posBuf[:e.n]
-	for p, ref := range order {
-		pos[ref] = p
-	}
+	pos := e.positions(order)
 	// premise builds a lemma: the negated transitive support of the given
 	// address valuations, plus the given consequence literals.
 	premise := func(ids []symbolic.SymID, extra ...sat.Lit) bool {
@@ -193,7 +199,7 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 		if !ok {
 			return false
 		}
-		e.add(append(lits, extra...)...)
+		e.stage(append(lits, extra...)...)
 		return true
 	}
 	for ri := range e.sys.Reads {
@@ -222,9 +228,7 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 				// Alias mismatch: under this valuation the chosen write
 				// stores to a different cell than the read loads from.
 				ids := append(append([]symbolic.SymID{}, ra.used...), wa.used...)
-				if premise(ids, e.choiceLit[ri][k].Not()) {
-					lemmas++
-				} else {
+				if !premise(ids, e.choiceLit[ri][k].Not()) {
 					coarse = true
 				}
 				continue
@@ -247,22 +251,18 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 				// Init violation: an aliasing write precedes the read that
 				// claims to observe the initial value.
 				if pos[w2] < pos[r] {
-					if premise(ids, e.choiceLit[ri][0].Not(), e.lit(r, w2)) {
-						lemmas++
-					} else {
+					if !premise(ids, e.choiceLit[ri][0].Not(), e.lit(r, w2)) {
 						coarse = true
 					}
 				}
 			} else if pos[w] < pos[w2] && pos[w2] < pos[r] {
 				// Interval violation: an aliasing rival landed between the
 				// chosen write and the read.
-				if premise(ids, e.choiceLit[ri][k].Not(), e.lit(w2, w), e.lit(r, w2)) {
-					lemmas++
-				} else {
+				if !premise(ids, e.choiceLit[ri][k].Not(), e.lit(w2, w), e.lit(r, w2)) {
 					coarse = true
 				}
 			}
 		}
 	}
-	return lemmas, coarse
+	return e.flush(), coarse
 }

@@ -13,7 +13,13 @@
 // induced relation is checked for cycles with the Pearce–Kelly order
 // graph (internal/solver). Each cycle found becomes one refinement lemma
 // — the disjunction of the negated edge literals along it — and when the
-// relation is acyclic its topological ranks are the witness total order.
+// relation is acyclic a linearization that switches threads only where
+// the model forces it (linearize.go) is the witness total order.
+//
+// Session.SolveMinimal adds the paper's minimal-preemption goal (§4.2):
+// a preemption charge per open program-order gap, a counter over the
+// charges, and a descent under ever tighter bounds on the same session
+// (descent.go).
 //
 // Symbolic addresses (CLAP §5: array accesses whose index is itself a
 // read value) are a second lazy theory, address-split refinement: each
@@ -72,8 +78,8 @@ type Options struct {
 	// Ctx cancels the solve (nil = never); polled each theory round and,
 	// via the SAT engine's stop hook, inside each SAT call.
 	Ctx context.Context
-	// Deadline bounds each Solve call's wall time (0 = none). Composes
-	// with Ctx.
+	// Deadline bounds each Solve or SolveMinimal call's wall time
+	// (0 = none). Composes with Ctx.
 	Deadline time.Duration
 	// Progress, when set, receives periodic snapshots of the live solving
 	// statistics (sampled from the SAT engine's stop-hook stride), for
@@ -93,8 +99,9 @@ type Stats struct {
 	BoolVars     int
 	Clauses      int64
 	TheoryRounds int
-	// LazyRounds counts transitivity-refinement iterations (SAT models
-	// rejected for cyclic order relations); LazyLemmas counts the cycle
+	// LazyRounds counts order-refinement iterations (SAT models rejected
+	// for a cyclic order relation or, during a descent, an extracted order
+	// that breaks a closed gap); LazyLemmas counts the cycle and gap
 	// lemmas those rounds added. Both stay zero under EagerTransitivity.
 	LazyRounds int64
 	LazyLemmas int64
@@ -109,7 +116,12 @@ type Stats struct {
 	// blocks) plus the retractable BlockMapping class blocks — the third
 	// refinement kind next to cycle and address-split lemmas.
 	MappingBlocks int64
-	// Solves counts DPLL(T) entries on the session (Solve calls);
+	// Descents counts SolveMinimal's re-solves under a preemption bound;
+	// DescentBound is the bound the last one assumed.
+	Descents     int64
+	DescentBound int
+	// Solves counts DPLL(T) entries on the session (Solve and
+	// SolveMinimal calls);
 	// SessionReuse is the entries beyond the first, i.e. how often
 	// the encoded system was re-entered instead of rebuilt.
 	Solves int64
@@ -153,9 +165,9 @@ func Solve(sys *constraints.System, opts Options) (*solver.Solution, *Stats, err
 }
 
 // Session is a re-entrant CNF solving session: the system is encoded
-// once, and Solve may be called repeatedly — after adding retractable
-// blocking clauses with BlockMapping, or simply to re-enter with a fresh
-// deadline — without re-encoding. Learnt clauses, theory lemmas and
+// once, and Solve (or SolveMinimal) may be called repeatedly — after
+// adding retractable blocking clauses with BlockMapping, or simply to
+// re-enter with a fresh deadline — without re-encoding. Learnt clauses, theory lemmas and
 // variable activity all persist across calls, which is what makes
 // re-entry cheaper than a fresh solver each attempt.
 type Session struct {
@@ -254,10 +266,16 @@ func (sess *Session) assumeLits() []sat.Lit {
 // Solve runs the DPLL(T) loop until a validated schedule emerges. The
 // returned stats pointer aliases the session's cumulative statistics.
 func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
+	sess.st.Solves++
+	sol, err := sess.solve(sess.arm(), -1)
+	sess.refresh()
+	return sol, &sess.st, err
+}
+
+// arm starts a DPLL(T) entry: it fixes the entry's deadline and installs
+// the SAT engine's stop hook, and returns the interrupt poll.
+func (sess *Session) arm() func() bool {
 	opts := sess.opts
-	e := sess.e
-	st := &sess.st
-	st.Solves++
 	var deadline time.Time
 	if opts.Deadline > 0 {
 		deadline = time.Now().Add(opts.Deadline)
@@ -273,21 +291,36 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 		return !deadline.IsZero() && time.Now().After(deadline)
 	}
 	// The stop hook keeps a single CDCL call from outliving the budget; a
-	// stopped call returns Unknown, which surfaces below as *Interrupted.
-	// It is also the live-progress sampling point: the engine polls it on
-	// a conflict/decision stride, so publishing from it gives heartbeats
-	// a view inside long SAT calls.
+	// stopped call returns Unknown, which surfaces as *Interrupted. It is
+	// also the live-progress sampling point: the engine polls it on a
+	// conflict/decision stride, so publishing from it gives heartbeats a
+	// view inside long SAT calls.
 	var polls int64
-	e.s.Stop = func() bool {
+	sess.e.s.Stop = func() bool {
 		if opts.Progress != nil {
 			if polls++; polls%16 == 0 {
 				sess.refresh()
-				opts.Progress(*st)
+				opts.Progress(sess.st)
 			}
 		}
 		return interrupted()
 	}
+	return interrupted
+}
 
+// solve is one DPLL(T) run under the live clause groups and, when bound
+// is non-negative, the assumption that at most bound preemption charges
+// hold (see descent.go). Every lemma it learns is valid for the whole
+// system, so the session stays reusable whatever the outcome; an Unsat
+// verdict under a bound only refutes that bound.
+func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution, error) {
+	opts := sess.opts
+	e := sess.e
+	st := &sess.st
+	assume := sess.assumeLits()
+	if bound >= 0 {
+		assume = append(assume, e.d.atMost[bound])
+	}
 	base := st.TheoryRounds
 	lazyThisCall := 0
 	addrThisCall := 0
@@ -298,35 +331,41 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 			opts.Progress(*st)
 		}
 		if interrupted() {
-			sess.refresh()
-			return nil, st, &solver.Interrupted{Reason: "cnf theory loop cut short", Bound: -1}
+			return nil, &solver.Interrupted{Reason: "cnf theory loop cut short", Bound: -1}
 		}
 		st.SATSolves++
-		switch e.s.Solve(sess.assumeLits()...) {
+		switch e.s.Solve(assume...) {
 		case sat.Sat:
 		case sat.Unknown:
-			sess.refresh()
-			return nil, st, &solver.Interrupted{Reason: "sat search cut short", Bound: -1}
+			return nil, &solver.Interrupted{Reason: "sat search cut short", Bound: -1}
 		default:
-			sess.refresh()
-			return nil, st, e.unsat(round + 1)
+			return nil, e.unsat(round + 1)
 		}
-		if !e.eager {
-			// Transitivity theory first: reject models whose order relation
-			// is cyclic, learning one lemma per cycle found. These rounds
-			// are cheap (incremental SAT + Pearce–Kelly) and do not consume
-			// the value-theory round budget.
-			if added := e.refineAcyclic(); added > 0 {
+		// Order theories first: reject models whose order relation is
+		// cyclic (learning one lemma per cycle found), then, during a
+		// descent, extracted orders that break a closed gap. These rounds
+		// are cheap (incremental SAT + graph walks) and do not consume the
+		// value-theory round budget.
+		var order []constraints.SAPRef
+		if e.eager {
+			order = e.extractOrder()
+		} else {
+			added := e.refineAcyclic()
+			if added == 0 {
+				order = e.extractOrder()
+				if e.d != nil {
+					added = e.refineGaps(order)
+				}
+			}
+			if added > 0 {
 				st.LazyRounds++
 				st.LazyLemmas += int64(added)
 				if lazyThisCall++; lazyThisCall > maxLazyRounds {
-					sess.refresh()
-					return nil, st, fmt.Errorf("cnfsolver: transitivity refinement did not converge in %d rounds", maxLazyRounds)
+					return nil, fmt.Errorf("cnfsolver: order refinement did not converge in %d rounds", maxLazyRounds)
 				}
 				continue
 			}
 		}
-		order := e.extractOrder()
 		if e.symbolicAddrs {
 			// Address-split theory: evaluate every symbolic address under
 			// the mapping-implied values and reject models whose read-from
@@ -347,8 +386,7 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 				st.AddrRounds++
 				st.AddrLemmas += int64(added)
 				if addrThisCall++; addrThisCall > maxAddrRounds {
-					sess.refresh()
-					return nil, st, fmt.Errorf("cnfsolver: address-split refinement did not converge in %d rounds", maxAddrRounds)
+					return nil, fmt.Errorf("cnfsolver: address-split refinement did not converge in %d rounds", maxAddrRounds)
 				}
 				continue
 			}
@@ -357,8 +395,7 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 		st.TheoryRounds = base + round
 		w, err := e.sys.ValidateSchedule(order)
 		if err == nil {
-			sess.refresh()
-			return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, st, nil
+			return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, nil
 		}
 		// Theory rejection: derive the smallest sound conflict clause.
 		// A violated path/bug condition depends only on the mappings in
@@ -367,8 +404,7 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 		e.block(err)
 		st.MappingBlocks++
 	}
-	sess.refresh()
-	return nil, st, fmt.Errorf("cnfsolver: theory refinement did not converge in %d rounds", opts.MaxTheoryRounds)
+	return nil, fmt.Errorf("cnfsolver: theory refinement did not converge in %d rounds", opts.MaxTheoryRounds)
 }
 
 // Mapping returns, for each read, the choice index selected by the last
@@ -536,12 +572,19 @@ type encoder struct {
 	conflicts []RegionConflict
 
 	// Lazy-transitivity state: the Pearce–Kelly order graph (reset each
-	// refinement round) and reusable scratch.
-	og       *solver.OrderGraph
-	lemmaBuf []sat.Lit
-	orderBuf []constraints.SAPRef
-	// Address-split scratch: per-SAP resolved addresses and per-SAP
-	// schedule positions, reused across refinement rounds.
+	// refinement round), the linearization scratch and reusable lemma
+	// buffers (staged holds a round's lemmas back-to-back, stagedEnd
+	// their end offsets).
+	og        *solver.OrderGraph
+	lin       linScratch
+	lemmaBuf  []sat.Lit
+	staged    []sat.Lit
+	stagedEnd []int
+	// d is the preemption encoding, built by the first descent step of
+	// SolveMinimal (nil before).
+	d *descent
+	// Refinement scratch: per-SAP resolved addresses (address split) and
+	// per-SAP schedule positions (positions), reused across rounds.
 	addrBuf []addrInfo
 	posBuf  []int
 }
@@ -721,16 +764,15 @@ func (e *encoder) unsat(rounds int) *Unsat {
 
 // refineAcyclic is the transitivity theory check: it orients every
 // allocated pair variable per the current model into the order graph and
-// adds one lemma per cycle discovered (the disjunction of the negated
+// learns one lemma per cycle discovered (the disjunction of the negated
 // edge literals along the cycle — a clause every total order satisfies).
 // It returns the number of lemmas added; zero means the relation is
-// acyclic and the graph's topological ranks order the model.
+// acyclic and linearize may order the model.
 func (e *encoder) refineAcyclic() int {
 	if e.og == nil {
 		e.og = solver.NewOrderGraph(e.n)
 	}
 	e.og.Reset()
-	lemmas := 0
 	for _, idx := range e.pairList {
 		a, b := int(idx)/e.n, int(idx)%e.n
 		from, to := a, b
@@ -750,10 +792,30 @@ func (e *encoder) refineAcyclic() int {
 		}
 		lits = append(lits, e.lit(from, to).Not())
 		e.lemmaBuf = lits
-		e.add(lits...)
-		lemmas++
+		e.stage(lits...)
 	}
-	return lemmas
+	return e.flush()
+}
+
+// stage buffers a refinement lemma until flush. A refinement scan reads
+// the model as it goes, and adding a clause rewinds the SAT trail to
+// level 0: a lemma added mid-scan would leave the rest of the scan
+// reading unassigned variables instead of the model.
+func (e *encoder) stage(lits ...sat.Lit) {
+	e.staged = append(e.staged, lits...)
+	e.stagedEnd = append(e.stagedEnd, len(e.staged))
+}
+
+// flush adds the staged lemmas and returns how many there were.
+func (e *encoder) flush() int {
+	start := 0
+	for _, end := range e.stagedEnd {
+		e.add(e.staged[start:end]...)
+		start = end
+	}
+	n := len(e.stagedEnd)
+	e.staged, e.stagedEnd = e.staged[:0], e.stagedEnd[:0]
+	return n
 }
 
 // learnValueLemmas statically discharges the easy value constraints: for
@@ -829,15 +891,12 @@ func (e *encoder) learnValueLemmas() {
 	}
 }
 
-// extractOrder reads the total order off the model. Lazy mode takes the
-// topological ranks maintained by the order graph (refineAcyclic just
-// inserted every model edge without finding a cycle, so the ranks
-// linearize the model's partial order). Eager mode counts predecessors —
-// there every pair is assigned and the counts form a permutation.
+// extractOrder reads the total order off the model: linearize in lazy
+// mode; in eager mode it counts predecessors — there every pair is
+// assigned and the counts form a permutation.
 func (e *encoder) extractOrder() []constraints.SAPRef {
 	if !e.eager {
-		e.orderBuf = e.og.TopoOrder(e.orderBuf)
-		return append([]constraints.SAPRef(nil), e.orderBuf...)
+		return e.linearize()
 	}
 	before := make([]int, e.n)
 	for a := 0; a < e.n; a++ {
@@ -907,7 +966,7 @@ func (e *encoder) blockModel() {
 // model, or -1 if the read is free or no choice is set.
 func (e *encoder) currentChoice(ri int) int {
 	for k, lit := range e.choiceLit[ri] {
-		if e.s.Value(lit.Var()) != lit.Neg() {
+		if e.holds(lit) {
 			return k
 		}
 	}

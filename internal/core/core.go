@@ -404,14 +404,16 @@ const (
 	Sequential SolverKind = iota
 	// Parallel is the generate-and-validate worker pool (internal/parsolve).
 	Parallel
-	// CNF is the SAT encoding with a CDCL core (internal/cnfsolver).
+	// CNF is the SAT encoding with a CDCL core (internal/cnfsolver),
+	// descending to the fewest preemptions it can prove.
 	CNF
-	// Portfolio runs Sequential for a short head start, then CNF with the
-	// rest of the budget, then Sequential again if CNF failed before the
-	// deadline without an unsat proof, on the caller's goroutine (see
-	// portfolio.go). It records a
-	// per-attempt trail; a panic or injected fault in one step degrades to
-	// the next instead of killing the pipeline.
+	// Portfolio runs Sequential for a 20 ms head start, then CNF with the
+	// rest of the budget, descending from the bounds the head start
+	// refuted, then Sequential again if CNF failed before the deadline
+	// without an unsat proof, on the caller's goroutine (see
+	// portfolio.go). It records a per-attempt trail; a panic or injected
+	// fault in one step degrades to the next instead of killing the
+	// pipeline.
 	Portfolio
 )
 
@@ -623,7 +625,7 @@ func solveStage(rep *Reproduction, sys *constraints.System, opts ReproduceOption
 			return bestSolution(res), res.Bound, nil
 		})
 	case CNF:
-		sol, att = cnfStage(rep, sys, cnfOptions(opts, deadline), sp)
+		sol, att = cnfStage(rep, sys, cnfOptions(opts, deadline), 0, sp)
 	case Portfolio:
 		sol, attempts, err := runPortfolio(rep, sys, opts, deadline, sp)
 		rep.Attempts = attempts
@@ -684,6 +686,15 @@ func boundOf(stats *solver.Stats) int {
 		return -1
 	}
 	return stats.BoundReached
+}
+
+// refutedOf is how many leading preemption bounds the sequential search
+// refuted exhaustively (0 when it did not run): the CNF descent's floor.
+func refutedOf(stats *solver.Stats) int {
+	if stats == nil {
+		return 0
+	}
+	return stats.Refuted
 }
 
 // ReproduceSource is the one-call convenience API: compile, record, solve,

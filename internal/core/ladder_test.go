@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -35,13 +36,20 @@ func trail(attempts []core.SolverAttempt) string {
 // TestPortfolioLadderTrail pins the ladder's attempt trail: a system the
 // sequential search solves within its head start stops there, and one
 // that outlasts it (dekker's spin loops) goes to CNF. Either way the trail
-// ends at the attempt that solved.
+// ends at the attempt that solved. The head starts are pinned — sim_race's
+// far above its solve time, even under the race detector — so the trail
+// does not depend on the machine's speed.
 func TestPortfolioLadderTrail(t *testing.T) {
-	for _, tc := range []struct{ name, want string }{
-		{"sim_race", "sequential solved"},
-		{"dekker", "sequential interrupted, cnf solved"},
+	for _, tc := range []struct {
+		name      string
+		headStart time.Duration
+		want      string
+	}{
+		{"sim_race", time.Minute, "sequential solved"},
+		{"dekker", 20 * time.Millisecond, "sequential interrupted, cnf solved"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			defer core.SetSeqHeadStart(tc.headStart)()
 			rep, err := core.Reproduce(prepare(t, tc.name).Recording, core.ReproduceOptions{Solver: core.Portfolio})
 			if err != nil {
 				t.Fatal(err)
@@ -60,10 +68,11 @@ func TestPortfolioLadderTrail(t *testing.T) {
 }
 
 // TestPortfolioIgnoresCoreCount checks that the portfolio's answer does not
-// depend on the number of cores. On sim_race CNF would finish first on an
-// idle core with several more preemptions than the sequential search's
-// minimal schedule, so any race between the two shows up here.
+// depend on the number of cores: with the head start pinned above
+// sim_race's solve time, the ladder returns the sequential search's
+// minimal schedule at one core and at four.
 func TestPortfolioIgnoresCoreCount(t *testing.T) {
+	defer core.SetSeqHeadStart(time.Minute)()
 	rec := prepare(t, "sim_race").Recording
 	seq, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Sequential})
 	if err != nil {

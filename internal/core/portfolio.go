@@ -6,12 +6,15 @@
 // goroutine:
 //
 //  1. the sequential search, whose schedules have minimal preemptions
-//     (§4.2), runs for a head start of min(300 ms, a fifth of the
-//     remaining deadline) — long enough for the systems it solves in
-//     milliseconds;
+//     (§4.2), runs for a head start of min(20 ms, a fifth of the
+//     remaining deadline) — long enough for the data-race systems it
+//     solves in milliseconds;
 //  2. CNF, which solves the systems that defeat the sequential search (the
 //     mutual-exclusion spin loops) in milliseconds, gets the rest of the
-//     budget;
+//     budget. It descends to the fewest preemptions it can prove
+//     (cnfsolver.Session.SolveMinimal), from the number of leading bounds
+//     the head start refuted exhaustively (solver.Stats.Refuted) — no
+//     schedule has fewer;
 //  3. if CNF fails for a reason other than the shared deadline — a system
 //     above its encoding limit, say — and the head start was cut short,
 //     the sequential search runs again with what remains. A CNF proof of
@@ -48,8 +51,8 @@ const (
 )
 
 // seqHeadStart caps the sequential search's first step. A variable only
-// so tests can force the head start to run out.
-var seqHeadStart = 300 * time.Millisecond
+// so tests can pin it.
+var seqHeadStart = 20 * time.Millisecond
 
 // SolverAttempt records one solver stage's outcome in the attempt trail.
 type SolverAttempt struct {
@@ -165,15 +168,24 @@ func seqStage(rep *Reproduction, sys *constraints.System, o solver.Options, sp *
 }
 
 // cnfStage runs the CNF solver as one attempt, keeping its statistics in
-// rep.
-func cnfStage(rep *Reproduction, sys *constraints.System, o cnfsolver.Options, sp *obs.Span) (*solver.Solution, SolverAttempt) {
+// rep. The session descends to the fewest preemptions it can prove, down
+// to lower, a bound below which the caller knows no schedule exists. The
+// attempt's bound is the last one the descent assumed.
+func cnfStage(rep *Reproduction, sys *constraints.System, o cnfsolver.Options, lower int, sp *obs.Span) (*solver.Solution, SolverAttempt) {
 	reg := rep.Trace.Reg()
 	wireProgress(reg, nil, nil, &o)
 	return runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
-		s, stats, err := cnfsolver.Solve(sys, o)
+		sess, err := cnfsolver.NewSession(sys, o)
+		if err != nil {
+			return nil, -1, err
+		}
+		s, stats, err := sess.SolveMinimal(lower)
 		rep.CNFStats = stats
 		emitCNFStats(reg, stats)
-		return s, -1, err
+		if stats.Descents == 0 {
+			return s, -1, err
+		}
+		return s, stats.DescentBound, err
 	})
 }
 
@@ -276,7 +288,7 @@ func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOpti
 	if deadline.IsZero() {
 		capBudget(&cnfOpts.Deadline, defaultCNFBudget)
 	}
-	sol, att = cnfStage(rep, sys, cnfOpts, sp)
+	sol, att = cnfStage(rep, sys, cnfOpts, refutedOf(rep.SeqStats), sp)
 	trail = append(trail, att)
 	if sol != nil {
 		return sol, trail, nil

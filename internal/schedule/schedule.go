@@ -57,7 +57,15 @@ type Options struct {
 	// MaxWalkNodes caps the total walk nodes across the generation
 	// (0 = unlimited); a hit reports Capped.
 	MaxWalkNodes int
+	// Stop, when set, is polled every PollStride walk nodes; returning
+	// true ends the generation, which then reports Capped. It is how a
+	// deadline-governed caller keeps one long walk from outliving its
+	// budget.
+	Stop func() bool
 }
+
+// PollStride is how many walk nodes pass between polls of Options.Stop.
+const PollStride = 1024
 
 // Generator produces candidate schedules for a constraint system. A
 // Generator reuses its walk scratch across CSP sets and Generate calls, so
@@ -95,6 +103,8 @@ type Generator struct {
 	// 2d holds the depth-d ready set being iterated, slot 2d+1 the
 	// transient probes of other threads at depth d.
 	readyBufs [][]constraints.SAPRef
+	// halted is set once the current generation hit MaxWalkNodes or Stop.
+	halted bool
 }
 
 // Result is the outcome of one generation run.
@@ -103,7 +113,9 @@ type Result struct {
 	// Generated counts schedules yielded (== len(Schedules) unless a Sink
 	// consumed them streaming).
 	Generated int
-	// Capped reports whether MaxSchedules stopped enumeration early.
+	// Capped reports whether a cap (MaxSchedules, MaxCSPSets,
+	// MaxWalkNodes) or Stop ended enumeration early: the run was not
+	// exhaustive.
 	Capped bool
 	// CSPSets counts how many context-switch-point sets were expanded.
 	CSPSets int
@@ -127,6 +139,16 @@ func NewGenerator(sys *constraints.System, opts Options) *Generator {
 	g.gate = sys.NewSyncGate()
 	g.cspAt = map[[2]int]trace.ThreadID{}
 	return g
+}
+
+// halt reports whether the walk must end, after nodes walk nodes: the
+// node cap is exceeded or Stop, polled every PollStride nodes, fired.
+func (g *Generator) halt(nodes int) bool {
+	if (g.opts.MaxWalkNodes > 0 && nodes > g.opts.MaxWalkNodes) ||
+		(g.opts.Stop != nil && nodes%PollStride == 0 && g.opts.Stop()) {
+		g.halted = true
+	}
+	return g.halted
 }
 
 // Sink consumes schedules as they are generated; returning false stops
@@ -159,6 +181,7 @@ func (g *Generator) GenerateWithBound(c int, sink Sink) Result {
 		}
 	}
 	nodes := 0
+	g.halted = false
 	g.enumCSPSets(c, func(set []CSP) {
 		if stop {
 			return
@@ -170,7 +193,7 @@ func (g *Generator) GenerateWithBound(c int, sink Sink) Result {
 		}
 		res.CSPSets++
 		g.generateForSet(set, emit, &stop, &nodes)
-		if g.opts.MaxWalkNodes > 0 && nodes > g.opts.MaxWalkNodes {
+		if g.halted {
 			res.Capped = true
 			stop = true
 		}
@@ -335,7 +358,7 @@ func (g *Generator) generateForSet(set []CSP, emit func([]constraints.SAPRef, in
 			return
 		}
 		*nodes++
-		if g.opts.MaxWalkNodes > 0 && *nodes > g.opts.MaxWalkNodes {
+		if g.halt(*nodes) {
 			*stop = true
 			return
 		}
@@ -509,13 +532,14 @@ func (g *Generator) GenerateRelaxed(c int, sink Sink) Result {
 		return out
 	}
 	nodes := 0
+	g.halted = false
 	var walk func(cur, switches, depth int, justSwitched bool)
 	walk = func(cur, switches, depth int, justSwitched bool) {
 		if stop {
 			return
 		}
 		nodes++
-		if g.opts.MaxWalkNodes > 0 && nodes > g.opts.MaxWalkNodes {
+		if g.halt(nodes) {
 			res.Capped = true
 			stop = true
 			return

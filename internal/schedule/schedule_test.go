@@ -229,3 +229,54 @@ func TestMaxSchedulesCap(t *testing.T) {
 		t.Fatalf("generated %d, want 3", res.Generated)
 	}
 }
+
+// lostUpdates has two threads racing on read-modify-write pairs: enough
+// SAPs for a bound-3 walk of many strides.
+const lostUpdates = `
+int x;
+int y;
+func w() {
+	x = x + 1;
+	y = y + 1;
+	x = x + 1;
+	y = y + 1;
+}
+func main() {
+	int h1 = spawn w();
+	int h2 = spawn w();
+	join(h1);
+	join(h2);
+	assert(x == 4, "lost update");
+}
+`
+
+// TestStopEndsWalkWithinStride checks the deadline hook: a Stop that
+// returns true ends generation at its first poll, one PollStride into the
+// walk, on both the SC and the relaxed walk, and the run reports Capped so
+// no caller mistakes it for an exhaustive enumeration.
+func TestStopEndsWalkWithinStride(t *testing.T) {
+	for _, model := range []vm.MemModel{vm.SC, vm.TSO} {
+		t.Run(model.String(), func(t *testing.T) {
+			sys := buildFailingSystem(t, lostUpdates, model, 3000)
+			// The walk at this bound needs more than one stride of nodes.
+			if res := NewGenerator(sys, Options{RespectHardEdges: true, MaxWalkNodes: PollStride}).Generate(3, nil); !res.Capped {
+				t.Fatal("bound-3 walk fits in one stride; pick a larger bound")
+			}
+			polls := 0
+			g := NewGenerator(sys, Options{RespectHardEdges: true, Stop: func() bool { polls++; return true }})
+			var nodesAtStop int
+			res := g.Generate(3, func([]constraints.SAPRef, int) bool { nodesAtStop++; return true })
+			if polls != 1 {
+				t.Fatalf("Stop polled %d times, want 1", polls)
+			}
+			if !res.Capped {
+				t.Fatal("a stopped generation must report Capped")
+			}
+			// Every yielded schedule is a leaf of the walk, so a walk cut
+			// at its first poll yields fewer than PollStride of them.
+			if nodesAtStop >= PollStride {
+				t.Fatalf("generated %d schedules after Stop fired", nodesAtStop)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"repro/internal/constraints"
+	"repro/internal/schedule"
 )
 
 // extendSchedules enumerates linear extensions of the decided order graph
@@ -57,6 +58,10 @@ func (s *search) extendSchedules(sink func(order []constraints.SAPRef) bool) {
 		if nodes > extendNodeBudget {
 			// Exponential wandering at an infeasible bound: give up on
 			// this mapping; the caller treats it as no-extension.
+			stop = true
+			return
+		}
+		if nodes%schedule.PollStride == 0 && s.stopped() {
 			stop = true
 			return
 		}

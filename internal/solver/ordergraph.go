@@ -6,10 +6,8 @@ import "repro/internal/constraints"
 // to other packages. The explain package's backtracking MUS oracle uses
 // it with Mark/UndoTo. The CNF backend's lazy-transitivity loop uses it as
 // the theory oracle: after each SAT model it orients every allocated pair
-// variable into the graph; the first edge that closes a cycle yields a
-// refinement lemma, and when every edge inserts cleanly the maintained
-// topological ranks are the witness total order — no cubic transitivity
-// axioms needed upfront.
+// variable into the graph, and each edge that closes a cycle yields a
+// refinement lemma — no cubic transitivity axioms needed upfront.
 type OrderGraph struct {
 	g *ordGraph
 	// Path scratch: parent pointers of the last DFS, generation-stamped so
@@ -89,19 +87,4 @@ func (o *OrderGraph) Path(from, to constraints.SAPRef) []constraints.SAPRef {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// TopoOrder writes the nodes in topological rank order into dst (grown if
-// needed) and returns it. The rank array is maintained as a permutation,
-// so this is a single inverse-permutation pass.
-func (o *OrderGraph) TopoOrder(dst []constraints.SAPRef) []constraints.SAPRef {
-	n := len(o.g.ord)
-	if cap(dst) < n {
-		dst = make([]constraints.SAPRef, n)
-	}
-	dst = dst[:n]
-	for i, r := range o.g.ord {
-		dst[r] = constraints.SAPRef(i)
-	}
-	return dst
 }

@@ -127,6 +127,11 @@ type Stats struct {
 	// BoundReached is the last preemption bound the search explored —
 	// partial-progress diagnostics for interrupted solves.
 	BoundReached int
+	// Refuted is the number of leading preemption bounds 0, 1, …,
+	// Refuted−1 that exhaustive schedule enumeration proved empty: no
+	// schedule has fewer than Refuted preemptions. A bound the search gave
+	// up on (an enumeration cap, boundDecisionBudget) ends the count.
+	Refuted int
 	// Partial is a SAP order consistent with every hard edge plus the
 	// decisions of the deepest prefix the search reached; PartialDepth is
 	// that prefix's decision depth. Captured only under
@@ -217,6 +222,8 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 			}
 			if !decided {
 				stillCapped = true
+			} else if c == s.stats.Refuted {
+				s.stats.Refuted++
 			}
 		}
 		if stillCapped {
@@ -540,6 +547,16 @@ func (s *search) interrupted() *Interrupted {
 	return nil
 }
 
+// stopped polls interrupted for the walks that cannot return an error,
+// leaving the interrupt in pendingIntr.
+func (s *search) stopped() bool {
+	if ierr := s.interrupted(); ierr != nil {
+		s.pendingIntr = ierr
+		return true
+	}
+	return false
+}
+
 func (s *search) solveWithBound(bound int) (*Solution, error) {
 	s.bound = bound
 	if ierr := s.interrupted(); ierr != nil {
@@ -558,6 +575,9 @@ func (s *search) solveWithBound(bound int) (*Solution, error) {
 			return sol, nil
 		}
 		if decided {
+			if bound == s.stats.Refuted {
+				s.stats.Refuted++
+			}
 			return nil, &Unsat{Reason: fmt.Sprintf("no schedule with %d preemptions (exhaustive)", bound)}
 		}
 		if s.genCapped != nil && bound < len(s.genCapped) {
@@ -591,14 +611,12 @@ func (s *search) tryGenerate(bound int, lim genLimits) (sol *Solution, decided b
 		RespectHardEdges: true,
 		MaxCSPSets:       lim.MaxCSPSets,
 		MaxWalkNodes:     lim.MaxWalkNodes,
+		Stop:             s.stopped,
 	})
 	res := gen.Generate(bound, func(order []constraints.SAPRef, pre int) bool {
 		s.stats.Validations++
-		if s.stats.Validations&63 == 0 {
-			if ierr := s.interrupted(); ierr != nil {
-				s.pendingIntr = ierr
-				return false
-			}
+		if s.stats.Validations&63 == 0 && s.stopped() {
+			return false
 		}
 		w, err := s.sys.ValidateSchedule(order)
 		if err != nil || w.Preemptions > bound {
@@ -903,6 +921,7 @@ func (s *search) complete() (*Solution, error) {
 		return nil, &Unsat{Reason: "bug predicate fails under mapping"}
 	}
 	// Extract linear extensions within the preemption bound and validate.
+	// The walk polls for interrupts; one it saw ends the search here.
 	tries := 0
 	var lastErr error
 	found := (*Solution)(nil)
@@ -929,6 +948,9 @@ func (s *search) complete() (*Solution, error) {
 	})
 	if found != nil {
 		return found, nil
+	}
+	if s.pendingIntr != nil {
+		return nil, s.pendingIntr
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no linear extension within %d preemptions", s.bound)
