@@ -1,18 +1,18 @@
-// Lazy-vs-eager equivalence and the clause-count gate over the paper's
+// Mapping-class goldens and the clause-count gate over the paper's
 // benchmark corpus. TestLazyEagerEquivalenceOnBenchmarks is the corpus
-// half of the schedule-equivalence property (the randomized half lives in
-// internal/cnfsolver): both encodings must agree on solvability for all
-// eleven programs — symbolic addresses included, now that address-split
-// refinement closed the lazy encoding's completeness gap — and on the
-// exact mapping sets for the small ones, concrete and symbolic alike.
-// TestBenchGateLazyCNF is the CI smoke gate: on the slowest benchmarks
-// (including racey, formerly forced eager by its symbolic addresses) the
-// lazy encoding must stay far below the eager cubic clause ceiling, so an
-// accidental return to eager-by-default fails fast.
+// half of the mapping-class property (the randomized half, against the
+// brute-force oracle, lives in internal/cnfsolver and internal/core): the
+// CNF session must solve all eleven programs, symbolic addresses
+// included, and reproduce the exact mapping sets of the small ones,
+// concrete and symbolic alike. TestBenchGateLazyCNF is the CI smoke gate:
+// on the slowest benchmarks the clause count must stay far below the
+// cubic count an all-triples transitivity encoding would emit, so an
+// encoding that grows with the cube of the SAP count fails fast.
 package bench
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -26,10 +26,7 @@ import (
 // when cap was reached before Unsat (the set is a prefix, not comparable).
 func enumerateMappings(t *testing.T, sys *constraints.System, opts cnfsolver.Options, cap int) (keys []string, full bool) {
 	t.Helper()
-	sess, err := cnfsolver.NewSession(sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cnfsolver.NewSession(sys, opts)
 	for len(keys) < cap {
 		sol, _, err := sess.Solve()
 		if err != nil {
@@ -53,11 +50,15 @@ func enumerateMappings(t *testing.T, sys *constraints.System, opts cnfsolver.Opt
 }
 
 // smallEnumerable lists benchmarks cheap enough to enumerate their full
-// mapping sets in both encodings (sub-second eager solves). bbuf and
-// pfscan carry symbolic addresses, so their enumeration exercises
-// address-split refinement against the eager closure on real programs —
-// the corpus half of the equivalence property that retired the eager
-// fallback. The rest get the solve-level check only.
+// mapping sets. Their 35–91 SAPs are too many for the brute-force oracle,
+// so testdata/mappings holds each one's class set as the lazy and the
+// former eager all-triples encoding both enumerated it, and the session
+// must reproduce it byte for byte. Rewriting them with -update replaces
+// that reference with the session's own answer: do it only for a change
+// to the systems themselves (candidate order, preprocessing), never for a
+// solver change. bbuf and pfscan carry symbolic addresses, so they pin
+// address-split refinement on real programs. The rest get the
+// solve-level check only.
 var smallEnumerable = map[string]bool{
 	"sim_race": true,
 	"dekker":   true,
@@ -72,43 +73,27 @@ func TestLazyEagerEquivalenceOnBenchmarks(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			p := preparedFor(t, b)
+			sys, err := FreshSystem(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// The solve-level check runs with pipeline-default budgets:
-			// since address-split refinement, every benchmark — symbolic
-			// addresses included — converges within them in both modes.
-			opts := func(eager bool) cnfsolver.Options {
-				return cnfsolver.Options{
-					EagerTransitivity: eager,
-					Deadline:          StageDeadline,
-				}
+			// every benchmark, symbolic addresses included, converges
+			// within them.
+			sol, st, err := cnfsolver.Solve(sys, cnfsolver.Options{Deadline: StageDeadline})
+			if err != nil {
+				t.Fatalf("cnf solve: %v", err)
 			}
-
-			sysL, err := FreshSystem(p)
+			// Solve already validated; re-check against a fresh system to
+			// be explicit that the order stands on its own.
+			fresh, err := FreshSystem(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			solL, stL, errL := cnfsolver.Solve(sysL, opts(false))
-			sysE, err := FreshSystem(p)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := fresh.ValidateSchedule(sol.Order); err != nil {
+				t.Fatalf("schedule does not re-validate: %v", err)
 			}
-			solE, _, errE := cnfsolver.Solve(sysE, opts(true))
-
-			if (errL == nil) != (errE == nil) {
-				t.Fatalf("solvability differs: lazy err=%v, eager err=%v", errL, errE)
-			}
-			if errL != nil {
-				t.Logf("both encodings reject/abstain: lazy %v, eager %v", errL, errE)
-				return
-			}
-			// Solve already validated; re-check against fresh systems to be
-			// explicit that each order stands on its own.
-			if _, err := sysL.ValidateSchedule(solL.Order); err != nil {
-				t.Fatalf("lazy schedule does not re-validate: %v", err)
-			}
-			if _, err := sysE.ValidateSchedule(solE.Order); err != nil {
-				t.Fatalf("eager schedule does not re-validate: %v", err)
-			}
-			t.Logf("lazy: %d clauses, %d lazy rounds, %d lemmas", stL.Clauses, stL.LazyRounds, stL.LazyLemmas)
+			t.Logf("lazy: %d clauses, %d lazy rounds, %d lemmas", st.Clauses, st.LazyRounds, st.LazyLemmas)
 
 			if !smallEnumerable[b.Name] {
 				return
@@ -116,33 +101,24 @@ func TestLazyEagerEquivalenceOnBenchmarks(t *testing.T) {
 			// Enumeration blocks one mapping class per feasible model plus
 			// one theory round per value-rejected class, so it needs a
 			// bigger round budget than a single solve.
-			enumOpts := func(eager bool) cnfsolver.Options {
-				o := opts(eager)
-				o.MaxTheoryRounds = 20000
-				return o
+			keys, full := enumerateMappings(t, fresh, cnfsolver.Options{Deadline: StageDeadline, MaxTheoryRounds: 20000}, 1024)
+			if !full {
+				t.Fatalf("mapping enumeration capped at %d classes; raise the cap or drop %s from smallEnumerable", len(keys), b.Name)
 			}
-			lazy, lazyFull := enumerateMappings(t, sysL, enumOpts(false), 1024)
-			eager, eagerFull := enumerateMappings(t, sysE, enumOpts(true), 1024)
-			if !lazyFull || !eagerFull {
-				t.Fatalf("mapping enumeration capped (lazy full=%v eager full=%v); raise the cap or drop %s from smallEnumerable",
-					lazyFull, eagerFull, b.Name)
-			}
-			if strings.Join(lazy, ";") != strings.Join(eager, ";") {
-				t.Fatalf("mapping sets differ:\nlazy:  %v\neager: %v", lazy, eager)
-			}
-			t.Logf("mapping sets equal: %d classes", len(lazy))
+			checkGolden(t, filepath.Join("testdata", "mappings", b.Name+".txt"), strings.Join(keys, "\n")+"\n")
+			t.Logf("%d mapping classes", len(keys))
 		})
 	}
 }
 
 // TestBenchGateLazyCNF is the bench-gate smoke check wired into CI: on
-// the historically slowest benchmarks the CNF stage must stay lazy,
-// i.e. its clause count must sit far below the eager encoding's cubic
-// transitivity floor of n(n-1)(n-2) ordered-triple implications. racey
-// is the symbolic-address representative: its array writes index by
-// loop-carried values, so before address-split refinement it was forced
-// onto the eager encoding — the gate now holds it to the lazy budget
-// too, address-split lemmas included.
+// the historically slowest benchmarks the CNF stage must leave
+// transitivity to its lazy theory, i.e. its clause count must sit far
+// below the n(n-1)(n-2) ordered-triple implications that encoding
+// transitivity up front costs (the paper's N³ of §4.1). racey is the
+// symbolic-address representative: its array writes index by
+// loop-carried values, so the gate holds its address-split lemmas to the
+// same budget.
 func TestBenchGateLazyCNF(t *testing.T) {
 	for _, name := range []string{"swarm", "bakery", "dekker", "racey"} {
 		name := name
@@ -167,9 +143,9 @@ func TestBenchGateLazyCNF(t *testing.T) {
 				t.Fatalf("degenerate system: %d SAPs", n)
 			}
 			if st.Clauses >= ceiling/10 {
-				t.Fatalf("cnf clauses = %d, want < eager ceiling %d / 10 — lazy transitivity regressed", st.Clauses, ceiling)
+				t.Fatalf("cnf clauses = %d, want < cubic ceiling %d / 10 — lazy transitivity regressed", st.Clauses, ceiling)
 			}
-			t.Logf("%s: n=%d, clauses=%d (eager ceiling %d)", name, n, st.Clauses, ceiling)
+			t.Logf("%s: n=%d, clauses=%d (cubic ceiling %d)", name, n, st.Clauses, ceiling)
 		})
 	}
 }

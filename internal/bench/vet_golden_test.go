@@ -11,7 +11,7 @@ import (
 	"repro/internal/staticanalysis"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the clap-vet golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // vetRender compiles the source and returns the clap-vet report.
 func vetRender(t *testing.T, src string) string {
@@ -38,7 +38,7 @@ func checkGolden(t *testing.T, path, got string) {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
 	if string(want) != got {
-		t.Errorf("vet output drifted from %s:\n--- golden\n%s--- got\n%s", path, want, got)
+		t.Errorf("output drifted from %s:\n--- golden\n%s--- got\n%s", path, want, got)
 	}
 }
 

@@ -7,9 +7,9 @@
 // The encoding is the paper's "one order variable per SAP" model made
 // boolean: a variable x_{a<b} per unordered SAP pair. The paper's
 // constraint counts grow as N³ in the number of shared accesses (§4.1)
-// because of the cubic transitivity closure; by default this encoder
-// instead leaves transitivity to a lazy theory: only the pairs mentioned
-// by actual constraints get variables, and after each SAT model the
+// because of the cubic transitivity closure; this encoder instead leaves
+// transitivity to a lazy theory: only the pairs mentioned by actual
+// constraints get variables, and after each SAT model the
 // induced relation is checked for cycles with the Pearce–Kelly order
 // graph (internal/solver). Each cycle found becomes one refinement lemma
 // — the disjunction of the negated edge literals along it — and when the
@@ -30,15 +30,12 @@
 // subset plus the address valuation that produced it — the choice
 // literals whose values the address evaluation consulted — so the solver
 // can re-aim addresses without re-deriving orders (see refineAddrSplit
-// for the completeness argument). Options.EagerTransitivity restores the
-// faithful all-triples encoding; it is no longer forced by symbolic
-// addresses.
+// for the completeness argument).
 package cnfsolver
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/constraints"
@@ -61,20 +58,9 @@ const (
 
 // Options tunes the CNF backend.
 type Options struct {
-	// MaxSAPs refuses systems too large to encode. The default depends on
-	// the encoding in effect: 400 SAPs for the cubic eager encoding
-	// (≈ 10M transitivity clauses) and 2000 for the lazy one, whose n×n
-	// pair arena is the only quadratic cost.
-	MaxSAPs int
 	// MaxTheoryRounds bounds the lazy-refinement loop over value theory
 	// rejections (default 200).
 	MaxTheoryRounds int
-	// EagerTransitivity restores the all-triples O(n³) transitivity
-	// encoding (the paper's faithful reference shape). Address-split
-	// refinement runs in both encodings, so symbolic-address systems
-	// accept the same schedules either way; eager only changes how
-	// transitivity is enforced (and lowers the size limit).
-	EagerTransitivity bool
 	// Ctx cancels the solve (nil = never); polled each theory round and,
 	// via the SAT engine's stop hook, inside each SAT call.
 	Ctx context.Context
@@ -102,7 +88,7 @@ type Stats struct {
 	// LazyRounds counts order-refinement iterations (SAT models rejected
 	// for a cyclic order relation or, during a descent, an extracted order
 	// that breaks a closed gap); LazyLemmas counts the cycle and gap
-	// lemmas those rounds added. Both stay zero under EagerTransitivity.
+	// lemmas those rounds added.
 	LazyRounds int64
 	LazyLemmas int64
 	// AddrRounds counts address-split refinement iterations (SAT models
@@ -157,11 +143,7 @@ func (st *Stats) sample(s *sat.Solver) {
 
 // Solve computes a bug-reproducing schedule with the CNF backend.
 func Solve(sys *constraints.System, opts Options) (*solver.Solution, *Stats, error) {
-	sess, err := NewSession(sys, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess.Solve()
+	return NewSession(sys, opts).Solve()
 }
 
 // Session is a re-entrant CNF solving session: the system is encoded
@@ -180,67 +162,22 @@ type Session struct {
 	groups []sat.Group
 }
 
-// Encoding size limits: the eager all-triples encoding emits ≈ n³/3
-// transitivity clauses (≈ 10M at 400 SAPs); the lazy encoding's only
-// quadratic cost is the n×n pair arena.
-const (
-	eagerMaxSAPs = 400
-	lazyMaxSAPs  = 2000
-)
-
-// TooLarge reports a system the session refuses to encode: its SAP count
-// exceeds the limit for the encoding in effect. Eager marks the case
-// where Options.EagerTransitivity selected the cubic encoding, whose much
-// lower default limit is the operative one — for systems in the
-// (eagerMaxSAPs, lazyMaxSAPs] band the encoding choice, not the system
-// size, is the root cause, and the message says so.
-type TooLarge struct {
-	SAPs  int
-	Limit int
-	Eager bool
-}
-
-// Error implements error.
-func (e *TooLarge) Error() string {
-	if e.Eager {
-		return fmt.Sprintf("cnfsolver: %d SAPs exceeds the eager-encoding limit %d (EagerTransitivity selects the cubic encoding; the lazy default accepts up to %d)",
-			e.SAPs, e.Limit, lazyMaxSAPs)
-	}
-	return fmt.Sprintf("cnfsolver: %d SAPs exceeds the encoding limit %d", e.SAPs, e.Limit)
-}
-
 // NewSession encodes the system. The returned session is single-goroutine.
-func NewSession(sys *constraints.System, opts Options) (*Session, error) {
+// Every system gets one: the encoding's size grows with the constraints,
+// not with the square of the SAP count.
+func NewSession(sys *constraints.System, opts Options) *Session {
 	opts.fill()
-	n := len(sys.SAPs)
-	e := &encoder{sys: sys, n: n, s: sat.New(0)}
+	e := &encoder{sys: sys, n: len(sys.SAPs), s: sat.New(0)}
 	for _, sap := range sys.SAPs {
 		if sap.Kind.IsMemory() && sap.Addr == symexec.NoAddr {
 			e.symbolicAddrs = true
 		}
 	}
-	e.eager = opts.EagerTransitivity
-	limit := opts.MaxSAPs
-	eagerLimited := false
-	if limit == 0 {
-		if e.eager {
-			limit = eagerMaxSAPs
-			eagerLimited = true
-		} else {
-			limit = lazyMaxSAPs
-		}
-	}
-	if n > limit {
-		return nil, &TooLarge{SAPs: n, Limit: limit, Eager: eagerLimited}
-	}
 	e.encode()
 	sess := &Session{opts: opts, e: e}
 	sess.refresh()
-	return sess, nil
+	return sess
 }
-
-// Lazy reports whether the session uses the lazy-transitivity encoding.
-func (sess *Session) Lazy() bool { return !sess.e.eager }
 
 // Stats returns a snapshot of the session's cumulative statistics.
 func (sess *Session) Stats() Stats {
@@ -347,24 +284,20 @@ func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution
 		// are cheap (incremental SAT + graph walks) and do not consume the
 		// value-theory round budget.
 		var order []constraints.SAPRef
-		if e.eager {
-			order = e.extractOrder()
-		} else {
-			added := e.refineAcyclic()
-			if added == 0 {
-				order = e.extractOrder()
-				if e.d != nil {
-					added = e.refineGaps(order)
-				}
+		added := e.refineAcyclic()
+		if added == 0 {
+			order = e.linearize()
+			if e.d != nil {
+				added = e.refineGaps(order)
 			}
-			if added > 0 {
-				st.LazyRounds++
-				st.LazyLemmas += int64(added)
-				if lazyThisCall++; lazyThisCall > maxLazyRounds {
-					return nil, fmt.Errorf("cnfsolver: order refinement did not converge in %d rounds", maxLazyRounds)
-				}
-				continue
+		}
+		if added > 0 {
+			st.LazyRounds++
+			st.LazyLemmas += int64(added)
+			if lazyThisCall++; lazyThisCall > maxLazyRounds {
+				return nil, fmt.Errorf("cnfsolver: order refinement did not converge in %d rounds", maxLazyRounds)
 			}
+			continue
 		}
 		if e.symbolicAddrs {
 			// Address-split theory: evaluate every symbolic address under
@@ -474,9 +407,8 @@ func (sess *Session) RetractBlocks() {
 // memory accesses may still fall between them: a schedule in which only
 // memory operations separate the pair leaves it happens-before-unordered,
 // which is exactly the data-race criterion. Since every total order the
-// session accepts covers all SAPs, the equivalence constrains both the
-// lazy order graph's topological ranks and the eager permutation
-// extraction.
+// session accepts covers all SAPs, the equivalence constrains the order
+// the model linearizes to.
 //
 // The clauses ride the same assumption-guard machinery as BlockMapping:
 // they are active only while their guard is assumed, and RetractBlocks
@@ -541,14 +473,13 @@ type encoder struct {
 	sys *constraints.System
 	n   int
 	s   *sat.Solver
-	// pairVar is a dense n×n arena: pairVar[a*n+b] (a<b) is the SAT var
-	// meaning "SAP a before SAP b", or -1 when the pair has no variable
-	// yet. pairList records the allocated flat indices in allocation
-	// order, for model iteration. The map it replaces cost a hash per
-	// lit() call in the encoder's hottest loop.
-	pairVar  []int32
-	pairList []int32
-	mapVars  []int // read→write / init choice variables
+	// pairVar maps an ordered SAP pair (a<b) to the SAT var meaning "SAP a
+	// before SAP b"; only the pairs some constraint or lemma mentions get
+	// one. pairs lists them in allocation order, the order every model
+	// scan walks, so that a run's SAT calls do not depend on map order.
+	pairVar map[[2]int32]int32
+	pairs   []pair
+	mapVars []int // read→write / init choice variables
 	// choiceLit[readIdx][k] is the literal for the k-th choice of the
 	// read (k=0: initial value, k=1..: candidate writes).
 	choiceLit [][]sat.Lit
@@ -563,10 +494,6 @@ type encoder struct {
 	// functions of the mapping alone — the same invariant concrete systems
 	// get for free — so mapping-level blocking stays sound.
 	symbolicAddrs bool
-	// eager selects the all-triples transitivity encoding
-	// (Options.EagerTransitivity). Formerly also forced on by symbolic
-	// addresses; the address-split theory removed that coupling.
-	eager bool
 	// conflicts collects never-released region pairs found during
 	// encoding; the first one decorates the Unsat error.
 	conflicts []RegionConflict
@@ -589,6 +516,10 @@ type encoder struct {
 	posBuf  []int
 }
 
+// pair is one allocated order variable: v holds when SAP a precedes SAP
+// b (a<b).
+type pair struct{ a, b, v int32 }
+
 // lit returns the literal for "a before b".
 func (e *encoder) lit(a, b int) sat.Lit {
 	if a == b {
@@ -599,12 +530,12 @@ func (e *encoder) lit(a, b int) sat.Lit {
 		a, b = b, a
 		neg = true
 	}
-	idx := a*e.n + b
-	v := e.pairVar[idx]
-	if v < 0 {
+	key := [2]int32{int32(a), int32(b)}
+	v, ok := e.pairVar[key]
+	if !ok {
 		v = int32(e.s.NewVar())
-		e.pairVar[idx] = v
-		e.pairList = append(e.pairList, int32(idx))
+		e.pairVar[key] = v
+		e.pairs = append(e.pairs, pair{a: key[0], b: key[1], v: v})
 	}
 	return sat.MkLit(int(v), neg)
 }
@@ -615,31 +546,10 @@ func (e *encoder) add(lits ...sat.Lit) {
 }
 
 func (e *encoder) encode() {
-	e.pairVar = make([]int32, e.n*e.n)
-	for i := range e.pairVar {
-		e.pairVar[i] = -1
-	}
+	e.pairVar = make(map[[2]int32]int32)
 	e.readIdx = make(map[symbolic.SymID]int, len(e.sys.Reads))
 	for i := range e.sys.Reads {
 		e.readIdx[e.sys.SAP(e.sys.Reads[i].Read).Sym.ID] = i
-	}
-	if e.eager {
-		// Transitivity: before(a,b) ∧ before(b,c) → before(a,c), all
-		// triples — the paper's faithful O(n³) reference shape.
-		for a := 0; a < e.n; a++ {
-			for b := 0; b < e.n; b++ {
-				if b == a {
-					continue
-				}
-				for c := b + 1; c < e.n; c++ {
-					if c == a {
-						continue
-					}
-					e.add(e.lit(a, b).Not(), e.lit(b, c).Not(), e.lit(a, c))
-					e.add(e.lit(c, b).Not(), e.lit(b, a).Not(), e.lit(c, a))
-				}
-			}
-		}
 	}
 	// Hard edges (Fmo, fork/join) are unit clauses.
 	for _, edge := range e.sys.HardEdges {
@@ -773,11 +683,10 @@ func (e *encoder) refineAcyclic() int {
 		e.og = solver.NewOrderGraph(e.n)
 	}
 	e.og.Reset()
-	for _, idx := range e.pairList {
-		a, b := int(idx)/e.n, int(idx)%e.n
-		from, to := a, b
-		if !e.s.Value(int(e.pairVar[idx])) {
-			from, to = b, a
+	for _, p := range e.pairs {
+		from, to := int(p.a), int(p.b)
+		if !e.s.Value(int(p.v)) {
+			from, to = to, from
 		}
 		if e.og.AddEdge(constraints.SAPRef(from), constraints.SAPRef(to)) {
 			continue
@@ -891,36 +800,6 @@ func (e *encoder) learnValueLemmas() {
 	}
 }
 
-// extractOrder reads the total order off the model: linearize in lazy
-// mode; in eager mode it counts predecessors — there every pair is
-// assigned and the counts form a permutation.
-func (e *encoder) extractOrder() []constraints.SAPRef {
-	if !e.eager {
-		return e.linearize()
-	}
-	before := make([]int, e.n)
-	for a := 0; a < e.n; a++ {
-		for b := a + 1; b < e.n; b++ {
-			v := e.pairVar[a*e.n+b]
-			if e.s.Value(int(v)) {
-				before[b]++
-			} else {
-				before[a]++
-			}
-		}
-	}
-	order := make([]constraints.SAPRef, e.n)
-	idx := make([]int, e.n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return before[idx[i]] < before[idx[j]] })
-	for pos, i := range idx {
-		order[pos] = constraints.SAPRef(i)
-	}
-	return order
-}
-
 // block forbids the rejected model. Two levels, most precise first:
 //
 //  1. A violated value condition depends only on the mappings in its
@@ -951,13 +830,12 @@ func (e *encoder) block(verr error) {
 // linear extensions (the pre-address-split incompleteness), which is why
 // it exists only as a fallback.
 func (e *encoder) blockModel() {
-	lits := make([]sat.Lit, 0, len(e.mapVars)+len(e.pairList))
+	lits := make([]sat.Lit, 0, len(e.mapVars)+len(e.pairs))
 	for _, v := range e.mapVars {
 		lits = append(lits, sat.MkLit(v, e.s.Value(v)))
 	}
-	for _, idx := range e.pairList {
-		v := int(e.pairVar[idx])
-		lits = append(lits, sat.MkLit(v, e.s.Value(v)))
+	for _, p := range e.pairs {
+		lits = append(lits, sat.MkLit(int(p.v), e.s.Value(int(p.v))))
 	}
 	e.add(lits...)
 }

@@ -62,8 +62,7 @@ type gap struct {
 //
 // Under SC and without condition variables, a refuted bound proves the
 // returned schedule minimal. Otherwise the descent may stop above the
-// minimum; every schedule it returns is validated either way. An eager
-// session (Options.EagerTransitivity) returns its first schedule.
+// minimum; every schedule it returns is validated either way.
 //
 // Only the first solve's failure is an error. A refuted bound, an
 // interrupt or an exhausted theory budget during the descent ends it with
@@ -75,7 +74,7 @@ func (sess *Session) SolveMinimal(lower int) (*solver.Solution, *Stats, error) {
 	interrupted := sess.arm()
 	best, err := sess.solve(interrupted, -1)
 	e := sess.e
-	if err == nil && best.Preemptions > lower && !e.eager {
+	if err == nil && best.Preemptions > lower {
 		if e.d == nil {
 			e.buildDescent(best.Preemptions)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/oracle"
 	"repro/internal/symexec"
 	"repro/internal/vm"
 )
@@ -26,13 +27,11 @@ func mappingKey(m []int) string {
 
 // enumerateMappings collects every distinct feasible read→write mapping of
 // the system under the given options by repeated Solve + BlockMapping.
-// Every solution's schedule is validated against the system on the way.
+// Every solution's schedule is validated on the way, and its witness must
+// realize the mapping the session reports.
 func enumerateMappings(t *testing.T, sys *constraints.System, opts cnfsolver.Options, cap int) []string {
 	t.Helper()
-	sess, err := cnfsolver.NewSession(sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cnfsolver.NewSession(sys, opts)
 	var keys []string
 	for len(keys) < cap {
 		sol, _, err := sess.Solve()
@@ -42,99 +41,120 @@ func enumerateMappings(t *testing.T, sys *constraints.System, opts cnfsolver.Opt
 			}
 			t.Fatalf("solve: %v", err)
 		}
-		if _, err := sys.ValidateSchedule(sol.Order); err != nil {
+		w, err := sys.ValidateSchedule(sol.Order)
+		if err != nil {
 			t.Fatalf("enumerated schedule does not validate: %v", err)
 		}
-		keys = append(keys, mappingKey(sess.Mapping()))
+		key := mappingKey(sess.Mapping())
+		if m, err := oracle.Mapping(sys, w); err != nil {
+			t.Fatal(err)
+		} else if mappingKey(m) != key {
+			t.Fatalf("session reports mapping %s, its schedule realizes %s", key, mappingKey(m))
+		}
+		keys = append(keys, key)
 		sess.BlockMapping()
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// TestLazyMatchesEagerMappings is the schedule-equivalence property on
-// hand-written systems: the lazy-transitivity and eager encodings must
-// admit exactly the same set of read→write mapping classes, each with a
-// validating witness schedule.
-func TestLazyMatchesEagerMappings(t *testing.T) {
-	srcs := map[string]string{
-		"figure2": figure2SC,
-		"lost update": `
-int c;
-func worker() {
-	int t = c;
-	c = t + 1;
+// oracleLimit bounds the orders one brute-force walk may visit; the
+// systems these tests build stay far below it.
+const oracleLimit = 1 << 20
+
+// reference is what the brute-force oracle says about a system: the
+// mapping classes of its valid schedules and the fewest preemptions any
+// of them has.
+type reference struct {
+	classes        []string
+	minPreemptions int
 }
-func main() {
-	int h1 = spawn worker();
-	int h2 = spawn worker();
-	join(h1);
-	join(h2);
-	int v = c;
-	assert(v == 2, "lost update");
-}
-`,
+
+// walkOracle enumerates every valid schedule of sys. It fails the test
+// when the walk does not finish or when a valid schedule takes a write
+// preprocessing pruned.
+func walkOracle(t *testing.T, sys *constraints.System) reference {
+	t.Helper()
+	seen := map[string]bool{}
+	ref := reference{minPreemptions: -1}
+	var mapErr error
+	complete := oracle.Enumerate(sys, oracleLimit, func(_ []constraints.SAPRef, w *constraints.Witness) {
+		m, err := oracle.Mapping(sys, w)
+		if err != nil {
+			mapErr = err
+			return
+		}
+		if key := mappingKey(m); !seen[key] {
+			seen[key] = true
+			ref.classes = append(ref.classes, key)
+		}
+		if ref.minPreemptions < 0 || w.Preemptions < ref.minPreemptions {
+			ref.minPreemptions = w.Preemptions
+		}
+	})
+	if mapErr != nil {
+		t.Fatal(mapErr)
 	}
-	for name, src := range srcs {
-		t.Run(name, func(t *testing.T) {
-			_, sys := buildSystem(t, src, vm.SC, 3000)
-			lazy := enumerateMappings(t, sys, cnfsolver.Options{}, 256)
-			eager := enumerateMappings(t, sys, cnfsolver.Options{EagerTransitivity: true}, 256)
-			if len(lazy) == 0 {
-				t.Fatal("no mappings found")
-			}
-			if strings.Join(lazy, ";") != strings.Join(eager, ";") {
-				t.Fatalf("mapping sets differ:\nlazy:  %v\neager: %v", lazy, eager)
-			}
+	if !complete {
+		t.Fatalf("oracle walk of %d SAPs exceeded %d orders", len(sys.SAPs), oracleLimit)
+	}
+	sort.Strings(ref.classes)
+	return ref
+}
+
+// checkClasses compares the session's mapping classes with the oracle's.
+// It reports how many classes there are.
+func checkClasses(t *testing.T, sys *constraints.System, opts cnfsolver.Options) int {
+	t.Helper()
+	want := walkOracle(t, sys).classes
+	if len(want) == 0 {
+		t.Fatal("the oracle found no valid schedule of a failing recording")
+	}
+	got := enumerateMappings(t, sys, opts, 4*len(want))
+	if strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("mapping classes differ:\nlazy:   %v\noracle: %v", got, want)
+	}
+	return len(want)
+}
+
+// TestLazyMatchesEagerMappings checks the CNF session against the
+// brute-force oracle on hand-written systems: it must enumerate exactly
+// the read→write mapping classes of the valid schedules, each with a
+// validating witness.
+func TestLazyMatchesEagerMappings(t *testing.T) {
+	cases := []struct {
+		name  string
+		src   string
+		model vm.MemModel
+	}{
+		{"figure2", figure2SC, vm.SC},
+		{"lost update", lostUpdateSC, vm.SC},
+		{"figure2 PSO", figure2PSO, vm.PSO},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, sys := buildSystem(t, tc.src, tc.model, 3000)
+			t.Logf("%d mapping classes", checkClasses(t, sys, cnfsolver.Options{}))
 		})
 	}
 }
 
-// genSymbolicAddrProgram builds a random member of a family of programs
-// whose writes index a shared array by a value read from a shared
-// variable — every instance carries symbolic addresses into the
-// constraint system. Writers race to set the index variable and slots of
-// the array; main indexes the array by whatever it read, and asserts slot
-// 0 untouched, which racy index values violate.
-func genSymbolicAddrProgram(r *rand.Rand) string {
-	n := 2 + r.Intn(3)       // array size 2..4
-	writers := 1 + r.Intn(2) // 1..2 racing writer threads
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "int a[%d];\nint idx;\n", n)
-	for w := 0; w < writers; w++ {
-		fmt.Fprintf(&sb, "func t%d() {\n\tidx = %d;\n\ta[%d] = %d;\n}\n",
-			w, 1+r.Intn(n-1), 1+r.Intn(n-1), 10+w)
-	}
-	sb.WriteString("func main() {\n")
-	for w := 0; w < writers; w++ {
-		fmt.Fprintf(&sb, "\tint h%d = spawn t%d();\n", w, w)
-	}
-	fmt.Fprintf(&sb, "\tint i = idx;\n\ta[i %% %d] = 7;\n", n)
-	for w := 0; w < writers; w++ {
-		fmt.Fprintf(&sb, "\tjoin(h%d);\n", w)
-	}
-	sb.WriteString("\tint v = a[0];\n\tassert(v == 0, \"racy index hit slot 0\");\n}\n")
-	return sb.String()
-}
-
 // TestPropertySymbolicAddrLazyMatchesEager is the randomized half of the
-// address-split equivalence property: on random symbolic-address programs
-// the lazy encoding (address-split refinement) and the eager encoding
-// must enumerate exactly the same read→write mapping classes, each with a
-// validating witness. This is the completeness evidence that let the
-// eager fallback retire.
+// mapping-class check: on random symbolic-address programs, address-split
+// refinement must enumerate exactly the oracle's mapping classes.
 func TestPropertySymbolicAddrLazyMatchesEager(t *testing.T) {
+	const trials = 12
 	r := rand.New(rand.NewSource(41))
-	compared := 0
-	for trial := 0; trial < 12; trial++ {
-		src := genSymbolicAddrProgram(r)
+	compared, multi := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		src, model := oracle.Program(r, oracle.SymbolicIndex)
 		prog, err := core.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: generated program does not compile: %v\n%s", trial, err, src)
 		}
-		rec, err := core.Record(prog, core.RecordOptions{Model: vm.SC, SeedLimit: 3000})
+		rec, err := core.Record(prog, core.RecordOptions{Model: model, SeedLimit: 3000})
 		if err != nil {
-			continue // this variant never failed: fine
+			continue // this variant never failed
 		}
 		sys, err := rec.Analyze()
 		if err != nil {
@@ -150,48 +170,15 @@ func TestPropertySymbolicAddrLazyMatchesEager(t *testing.T) {
 		if !hasSym {
 			continue // constant-folded index: not the shape under test
 		}
-		enumOpts := cnfsolver.Options{MaxTheoryRounds: 20000}
-		lazy := enumerateMappings(t, sys, enumOpts, 256)
-		enumOpts.EagerTransitivity = true
-		eager := enumerateMappings(t, sys, enumOpts, 256)
-		if len(lazy) == 0 {
-			t.Fatalf("trial %d: no mappings for a failing recording\n%s", trial, src)
-		}
-		if strings.Join(lazy, ";") != strings.Join(eager, ";") {
-			t.Fatalf("trial %d: mapping sets differ:\nlazy:  %v\neager: %v\n%s", trial, lazy, eager, src)
+		if checkClasses(t, sys, cnfsolver.Options{MaxTheoryRounds: 20000}) > 1 {
+			multi++
 		}
 		compared++
 	}
-	if compared < 5 {
-		t.Fatalf("only %d random symbolic-address programs compared; generator too tame", compared)
+	if compared < trials || 2*multi < compared {
+		t.Fatalf("compared %d/%d random symbolic-address programs, %d with several mapping classes; generator too tame", compared, trials, multi)
 	}
-	t.Logf("mapping sets equal on %d/12 random symbolic-address programs", compared)
-}
-
-func TestLazySessionIsLazyByDefault(t *testing.T) {
-	_, sys := buildSystem(t, figure2SC, vm.SC, 3000)
-	sess, err := cnfsolver.NewSession(sys, cnfsolver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.Lazy() {
-		t.Fatal("concrete-address system must use the lazy encoding")
-	}
-	if _, _, err := sess.Solve(); err != nil {
-		t.Fatalf("lazy solve: %v", err)
-	}
-	eager, err := cnfsolver.NewSession(sys, cnfsolver.Options{EagerTransitivity: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager.Lazy() {
-		t.Fatal("EagerTransitivity must force the eager encoding")
-	}
-	// The lazy encoding's whole point: far fewer clauses than the cubic
-	// closure of the same system.
-	if ls, es := sess.Stats(), eager.Stats(); ls.Clauses*10 > es.Clauses {
-		t.Fatalf("lazy encoding not materially smaller: %d vs eager %d clauses", ls.Clauses, es.Clauses)
-	}
+	t.Logf("mapping classes equal on %d/%d random symbolic-address programs, %d with several classes", compared, trials, multi)
 }
 
 // TestSessionRetractBlocks checks the cross-attempt reuse contract: after
@@ -199,10 +186,7 @@ func TestLazySessionIsLazyByDefault(t *testing.T) {
 // session solvable again without re-encoding.
 func TestSessionRetractBlocks(t *testing.T) {
 	_, sys := buildSystem(t, figure2SC, vm.SC, 3000)
-	sess, err := cnfsolver.NewSession(sys, cnfsolver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cnfsolver.NewSession(sys, cnfsolver.Options{})
 	solutions := 0
 	for {
 		_, _, err := sess.Solve()

@@ -43,9 +43,9 @@ func (e *encoder) linearize() []constraints.SAPRef {
 	clear(l.start)
 	clear(l.indeg)
 	l.from, l.to = l.from[:0], l.to[:0]
-	for _, idx := range e.pairList {
-		a, b := idx/int32(n), idx%int32(n)
-		if !e.s.Value(int(e.pairVar[idx])) {
+	for _, p := range e.pairs {
+		a, b := p.a, p.b
+		if !e.s.Value(int(p.v)) {
 			a, b = b, a
 		}
 		l.from = append(l.from, a)

@@ -65,10 +65,7 @@ func solveMaybe(t *testing.T, sys *constraints.System, sess *cnfsolver.Session) 
 // the pair.
 func TestSessionAdjacencyInterleave(t *testing.T) {
 	_, sys := buildSystem(t, figure2SC, vm.SC, 3000)
-	sess, err := cnfsolver.NewSession(sys, cnfsolver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cnfsolver.NewSession(sys, cnfsolver.Options{})
 	if !solveMaybe(t, sys, sess) {
 		t.Fatal("system must be satisfiable at the start")
 	}
@@ -148,10 +145,9 @@ func main() {
 `
 
 // TestSessionSymbolicAddrLazy pins the guard machinery on a
-// symbolic-address system: address-split refinement lets such systems use
-// the lazy encoding (the eager fallback is retired), and the same
-// BlockMapping / AssumeAdjacent / RetractBlocks interleave keeps working
-// — retraction semantics must be identical to the concrete-address path.
+// symbolic-address system: the same BlockMapping / AssumeAdjacent /
+// RetractBlocks interleave keeps working under address-split refinement —
+// retraction semantics must be identical to the concrete-address path.
 func TestSessionSymbolicAddrLazy(t *testing.T) {
 	prog, err := core.Compile(symbolicAddrSC)
 	if err != nil {
@@ -165,13 +161,7 @@ func TestSessionSymbolicAddrLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := cnfsolver.NewSession(sys, cnfsolver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.Lazy() {
-		t.Fatal("symbolic-address system must default to the lazy encoding")
-	}
+	sess := cnfsolver.NewSession(sys, cnfsolver.Options{})
 	if !solveMaybe(t, sys, sess) {
 		t.Fatal("system must be satisfiable")
 	}
@@ -181,6 +171,6 @@ func TestSessionSymbolicAddrLazy(t *testing.T) {
 	solveMaybe(t, sys, sess) // either verdict; must not error
 	sess.RetractBlocks()
 	if !solveMaybe(t, sys, sess) {
-		t.Fatal("RetractBlocks did not restore satisfiability on the eager path")
+		t.Fatal("RetractBlocks did not restore satisfiability on the symbolic-address path")
 	}
 }

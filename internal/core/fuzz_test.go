@@ -3,70 +3,28 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/vm"
 )
 
-// genRacyProgram builds a random member of a family of racy counter
-// programs: W workers each perform a few operations on shared variables,
-// some protected by a lock and some not; main asserts the lock-free
-// sequentially-expected final state, which racy interleavings violate.
-func genRacyProgram(r *rand.Rand) (src string, model vm.MemModel) {
-	workers := 2 + r.Intn(2)
-	vars := 1 + r.Intn(3)
-	iters := 1 + r.Intn(3)
-	useLockOn := r.Intn(vars + 1) // variables below this index are locked
-
-	var sb strings.Builder
-	for v := 0; v < vars; v++ {
-		fmt.Fprintf(&sb, "int g%d;\n", v)
-	}
-	sb.WriteString("mutex m;\n")
-	sb.WriteString("func worker() {\n\tint i;\n")
-	fmt.Fprintf(&sb, "\tfor (i = 0; i < %d; i = i + 1) {\n", iters)
-	for v := 0; v < vars; v++ {
-		if v < useLockOn {
-			fmt.Fprintf(&sb, "\t\tlock(m);\n\t\tint t%d = g%d;\n\t\tg%d = t%d + 1;\n\t\tunlock(m);\n", v, v, v, v)
-		} else {
-			fmt.Fprintf(&sb, "\t\tint t%d = g%d;\n\t\tg%d = t%d + 1;\n", v, v, v, v)
-		}
-	}
-	sb.WriteString("\t}\n}\n")
-	sb.WriteString("func main() {\n")
-	for w := 0; w < workers; w++ {
-		fmt.Fprintf(&sb, "\tint h%d = spawn worker();\n", w)
-	}
-	for w := 0; w < workers; w++ {
-		fmt.Fprintf(&sb, "\tjoin(h%d);\n", w)
-	}
-	expect := workers * iters
-	cond := make([]string, vars)
-	for v := 0; v < vars; v++ {
-		fmt.Fprintf(&sb, "\tint f%d = g%d;\n", v, v)
-		cond[v] = fmt.Sprintf("f%d == %d", v, expect)
-	}
-	fmt.Fprintf(&sb, "\tassert(%s, \"all updates landed\");\n}\n", strings.Join(cond, " && "))
-	return sb.String(), vm.SC
-}
-
 // TestPropertyPipelineOnRandomPrograms is the repository's end-to-end
-// property: for random racy programs whose bug triggers, the full pipeline
-// (record → analyze → solve → replay) reproduces the failure, with both
-// solving strategies.
+// property: for random programs of every oracle.Program shape whose bug
+// triggers, the full pipeline (record → analyze → solve → replay)
+// reproduces the failure, with both solving strategies.
 func TestPropertyPipelineOnRandomPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	reproduced := 0
 	for trial := 0; trial < 25; trial++ {
-		src, model := genRacyProgram(r)
+		src, model := oracle.Program(r, oracle.Shapes[trial%len(oracle.Shapes)])
 		prog, err := Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: generated program does not compile: %v\n%s", trial, err, src)
 		}
 		rec, err := Record(prog, RecordOptions{Model: model, SeedLimit: 300})
 		if err != nil {
-			continue // fully locked variants never fail: fine
+			continue // this variant never failed
 		}
 		for _, kind := range []SolverKind{Sequential, Parallel} {
 			rep, err := Reproduce(rec, ReproduceOptions{Solver: kind})

@@ -15,11 +15,12 @@
 //     (cnfsolver.Session.SolveMinimal), from the number of leading bounds
 //     the head start refuted exhaustively (solver.Stats.Refuted) — no
 //     schedule has fewer;
-//  3. if CNF fails for a reason other than the shared deadline — a system
-//     above its encoding limit, say — and the head start was cut short,
-//     the sequential search runs again with what remains. A CNF proof of
-//     unsatisfiability (cnfsolver.Unsat) ends the ladder instead: no
-//     schedule exists for the sequential search to find.
+//  3. if CNF fails for a reason other than the shared deadline — its
+//     200-round value-theory budget ran out, or it panicked or had a fault
+//     injected — and the head start was cut short, the sequential search
+//     runs again with what remains. A CNF proof of unsatisfiability
+//     (cnfsolver.Unsat) ends the ladder instead: no schedule exists for
+//     the sequential search to find.
 //
 // The answer therefore does not depend on the number of cores. A step
 // that is interrupted, finds nothing, errors, or panics is recorded in the
@@ -61,10 +62,9 @@ type SolverAttempt struct {
 	// Elapsed is the stage's wall time.
 	Elapsed time.Duration
 	// Outcome is one of "solved", "interrupted", "fault injected",
-	// "panicked", "no schedule", "too large" or "failed". "too large"
-	// marks a CNF stage that refused to encode the system
-	// (cnfsolver.TooLarge); its Err says which limit applied — in
-	// particular whether an explicit EagerTransitivity request lowered it.
+	// "panicked", "no schedule" or "failed". "failed" covers every other
+	// error the stage returned, such as a CNF proof of unsatisfiability
+	// or an exhausted theory budget; Err holds it.
 	Outcome string
 	// Err holds the failure detail when the stage did not solve.
 	Err string
@@ -131,13 +131,9 @@ func runSolverStage(reg *obs.Registry, name string, parent *obs.Span, fn func() 
 	att.BoundReached = bound
 	if err != nil {
 		var intr *solver.Interrupted
-		var big *cnfsolver.TooLarge
-		switch {
-		case errors.As(err, &intr):
+		if errors.As(err, &intr) {
 			att.Outcome = "interrupted"
-		case errors.As(err, &big):
-			att.Outcome = "too large"
-		default:
+		} else {
 			att.Outcome = "failed"
 		}
 		att.Err = err.Error()
@@ -175,11 +171,7 @@ func cnfStage(rep *Reproduction, sys *constraints.System, o cnfsolver.Options, l
 	reg := rep.Trace.Reg()
 	wireProgress(reg, nil, nil, &o)
 	return runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
-		sess, err := cnfsolver.NewSession(sys, o)
-		if err != nil {
-			return nil, -1, err
-		}
-		s, stats, err := sess.SolveMinimal(lower)
+		s, stats, err := cnfsolver.NewSession(sys, o).SolveMinimal(lower)
 		rep.CNFStats = stats
 		emitCNFStats(reg, stats)
 		if stats.Descents == 0 {

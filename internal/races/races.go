@@ -230,7 +230,6 @@ type analyzer struct {
 	dynSites    map[siteKey]bool   // site pairs with a dynamic group
 
 	sess     *cnfsolver.Session
-	sessErr  error
 	deadline time.Time
 
 	counters Counters
@@ -497,7 +496,7 @@ func (a *analyzer) decide(g group) Finding {
 		case Refuted:
 			refuted++
 		default:
-			f.Status, f.How = Unknown, a.solveUnknownReason()
+			f.Status, f.How = Unknown, "solver-rounds"
 			return f
 		}
 	}
@@ -618,7 +617,7 @@ func (a *analyzer) validateMove(from, to int) *constraints.Witness {
 
 // solvePair runs one adjacency query on the shared CNF session.
 func (a *analyzer) solvePair(p pair) (*constraints.Witness, Status) {
-	if a.sess == nil && a.sessErr == nil {
+	if a.sess == nil {
 		opts := cnfsolver.Options{
 			MaxTheoryRounds: solverRounds,
 			Ctx:             a.opts.Ctx,
@@ -629,16 +628,8 @@ func (a *analyzer) solvePair(p pair) (*constraints.Witness, Status) {
 				opts.Deadline = time.Nanosecond
 			}
 		}
-		sess, err := cnfsolver.NewSession(a.sys, opts)
-		if err != nil {
-			a.sessErr = err
-		} else {
-			a.sess = sess
-			a.counters.Sessions++
-		}
-	}
-	if a.sess == nil {
-		return nil, Unknown
+		a.sess = cnfsolver.NewSession(a.sys, opts)
+		a.counters.Sessions++
 	}
 	// One session, many pairs: retire the previous pair's adjacency group
 	// (and any blocking clauses), arm this pair's, and re-enter. Learnt
@@ -656,13 +647,6 @@ func (a *analyzer) solvePair(p pair) (*constraints.Witness, Status) {
 		return nil, Refuted
 	}
 	return nil, Unknown // interrupted or round budget: the session stays usable
-}
-
-func (a *analyzer) solveUnknownReason() string {
-	if a.sessErr != nil {
-		return "solver-unavailable"
-	}
-	return "solver-rounds"
 }
 
 func (a *analyzer) accessPair(p pair) (Access, Access) {
