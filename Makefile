@@ -7,7 +7,8 @@ FUZZ_TARGETS := ./internal/trace:FuzzDecodePathLog \
 	./internal/trace:FuzzDecodeAccessVectorLog \
 	./internal/trace:FuzzDecodeSyncOrderLog \
 	./internal/clapd:FuzzDecodeBundle \
-	./internal/ir:FuzzCompileSource
+	./internal/ir:FuzzCompileSource \
+	./internal/sat:FuzzTheoryHook
 
 .PHONY: ci lint vet fmt-check build test e2ebench-check e2ebench-smoke \
 	fuzz-smoke bench-gate vet-examples races-examples race-obs \
@@ -76,8 +77,9 @@ e2ebench-smoke:
 bench-gate:
 	$(GO) test ./internal/bench/ -run '^TestBenchGateLazyCNF$$' -count=1 -v
 
-# A short fuzz pass per decoder target: the crash-tolerance claims hold on
-# arbitrary bytes, not just the corpus.
+# A short fuzz pass per target: the decoders' crash-tolerance claims hold
+# on arbitrary bytes, not just the corpus, and the SAT engine's theory
+# hook agrees with brute force on instances decoded from them.
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \

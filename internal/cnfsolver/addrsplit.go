@@ -53,7 +53,7 @@ import (
 // modelEnv resolves the value assignment implied by the current SAT
 // model's read→write mapping: a read's value is its chosen candidate's
 // value expression evaluated recursively, or the variable's initial value
-// for choice 0. Results are memoized per refinement round.
+// for choice 0. Results are memoized per theory check.
 type modelEnv struct {
 	e    *encoder
 	vals map[symbolic.SymID]int64
@@ -137,9 +137,8 @@ func (e *encoder) positions(order []constraints.SAPRef) []int {
 }
 
 // refineAddrSplit checks the model's read-from choices against the alias
-// classes induced by its address valuation and adds one lemma per
-// violation found, staged until the scan ends so that every check reads
-// the model. It returns the number of lemmas added and whether some
+// classes induced by its address valuation and queues one lemma per
+// violation found. It returns the number of lemmas added and whether some
 // violation (or unresolvable address) had to be skipped because no sound
 // choice-level premise exists; the caller falls back to blockModel when
 // nothing targeted was learned. A (0, false) return certifies the model
@@ -182,7 +181,8 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 			// rejects any schedule realizing these choices, so forbid the
 			// consulted support outright.
 			if lits, sOK := e.suppLits(used, map[int]bool{}, nil); sOK {
-				e.stage(lits...)
+				e.lemma(lits...)
+				lemmas++
 			} else {
 				coarse = true
 			}
@@ -199,7 +199,8 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 		if !ok {
 			return false
 		}
-		e.stage(append(lits, extra...)...)
+		e.lemma(append(lits, extra...)...)
+		lemmas++
 		return true
 	}
 	for ri := range e.sys.Reads {
@@ -264,5 +265,5 @@ func (e *encoder) refineAddrSplit(order []constraints.SAPRef) (lemmas int, coars
 			}
 		}
 	}
-	return e.flush(), coarse
+	return lemmas, coarse
 }

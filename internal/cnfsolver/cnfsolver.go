@@ -1,20 +1,22 @@
 // Package cnfsolver is the SMT-style backend for CLAP's constraint
-// systems: it encodes the order and mapping structure into CNF, runs the
-// CDCL engine (internal/sat), and discharges the value-level constraints
-// (Fpath, Fbug, symbolic addresses) by concrete evaluation in a lazy
-// DPLL(T) loop with blocking clauses.
+// systems: it encodes the order and mapping structure into CNF and runs
+// the CDCL engine (internal/sat) as a DPLL(T) search, whose theory hook
+// checks every complete assignment against the order, address and value
+// theories and answers a violation with lemmas the engine adds at their
+// asserting level. Each Solve, and each descent step of SolveMinimal, is
+// one SAT call.
 //
 // The encoding is the paper's "one order variable per SAP" model made
 // boolean: a variable x_{a<b} per unordered SAP pair. The paper's
 // constraint counts grow as N³ in the number of shared accesses (§4.1)
 // because of the cubic transitivity closure; this encoder instead leaves
 // transitivity to a lazy theory: only the pairs mentioned by actual
-// constraints get variables, and after each SAT model the
-// induced relation is checked for cycles with the Pearce–Kelly order
-// graph (internal/solver). Each cycle found becomes one refinement lemma
-// — the disjunction of the negated edge literals along it — and when the
+// constraints get variables, and the hook checks each assignment's
+// induced relation for cycles with the Pearce–Kelly order graph
+// (internal/solver). Each cycle found becomes one refinement lemma — the
+// disjunction of the negated edge literals along it — and when the
 // relation is acyclic a linearization that switches threads only where
-// the model forces it (linearize.go) is the witness total order.
+// the assignment forces it (linearize.go) is the candidate total order.
 //
 // Session.SolveMinimal adds the paper's minimal-preemption goal (§4.2):
 // a preemption charge per open program-order gap, a counter over the
@@ -23,14 +25,16 @@
 //
 // Symbolic addresses (CLAP §5: array accesses whose index is itself a
 // read value) are a second lazy theory, address-split refinement: each
-// model's symbolic addresses are evaluated under the mapping-implied
+// assignment's symbolic addresses are evaluated under the mapping-implied
 // value assignment, the memory SAPs partition into concrete alias
 // classes, and read-from consistency is checked only within classes that
 // actually alias. A violation becomes a lemma restricted to the aliasing
 // subset plus the address valuation that produced it — the choice
 // literals whose values the address evaluation consulted — so the solver
 // can re-aim addresses without re-deriving orders (see refineAddrSplit
-// for the completeness argument).
+// for the completeness argument). The value theory comes last: the
+// candidate order must pass ValidateSchedule, and a rejection blocks the
+// read→write mappings its failed condition depends on.
 package cnfsolver
 
 import (
@@ -47,10 +51,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Refinement budgets per Solve call. Each lazy or address round adds at
-// least one lemma, so both loops converge; the bounds guard pathological
-// instances. Address-split rounds re-aim symbolic addresses rather than
-// reject a mapping, so they do not consume Options.MaxTheoryRounds.
+// Refinement budgets per DPLL(T) entry, counted in rejected assignments.
+// Each order or address rejection adds at least one lemma, so both
+// converge; the bounds guard pathological instances. Address-split
+// rejections re-aim symbolic addresses rather than reject a mapping, so
+// they do not consume Options.MaxTheoryRounds.
 const (
 	maxLazyRounds = 5000 // transitivity (cycle-lemma) rounds
 	maxAddrRounds = 5000 // address-split rounds
@@ -58,19 +63,20 @@ const (
 
 // Options tunes the CNF backend.
 type Options struct {
-	// MaxTheoryRounds bounds the lazy-refinement loop over value theory
-	// rejections (default 200).
+	// MaxTheoryRounds bounds the value-theory rejections of one DPLL(T)
+	// entry (default 200).
 	MaxTheoryRounds int
-	// Ctx cancels the solve (nil = never); polled each theory round and,
-	// via the SAT engine's stop hook, inside each SAT call.
+	// Ctx cancels the solve (nil = never); polled on every theory check
+	// and, via the SAT engine's stop hook, between conflicts and
+	// decisions.
 	Ctx context.Context
 	// Deadline bounds each Solve or SolveMinimal call's wall time
 	// (0 = none). Composes with Ctx.
 	Deadline time.Duration
-	// Progress, when set, receives periodic snapshots of the live solving
-	// statistics (sampled from the SAT engine's stop-hook stride), for
-	// progress heartbeats. Called from the solving goroutine; it must be
-	// fast and must not call back into the solver.
+	// Progress, when set, receives snapshots of the live solving
+	// statistics on every theory check and on the SAT engine's stop-hook
+	// stride, for progress heartbeats. Called from the solving goroutine;
+	// it must be fast and must not call back into the solver.
 	Progress func(Stats)
 }
 
@@ -82,19 +88,20 @@ func (o *Options) fill() {
 
 // Stats reports encoding size and solving effort.
 type Stats struct {
-	BoolVars     int
-	Clauses      int64
+	BoolVars int
+	Clauses  int64
+	// TheoryRounds counts value-theory checks: candidate schedules put
+	// through ValidateSchedule, accepted or not.
 	TheoryRounds int
-	// LazyRounds counts order-refinement iterations (SAT models rejected
-	// for a cyclic order relation or, during a descent, an extracted order
-	// that breaks a closed gap); LazyLemmas counts the cycle and gap
-	// lemmas those rounds added.
+	// LazyRounds counts order rejections (assignments rejected for a
+	// cyclic order relation or, during a descent, an extracted order that
+	// breaks a closed gap); LazyLemmas counts the cycle and gap lemmas
+	// they added.
 	LazyRounds int64
 	LazyLemmas int64
-	// AddrRounds counts address-split refinement iterations (SAT models
-	// rejected for symbolic-address inconsistency); AddrLemmas counts the
-	// lemmas those rounds added. Both stay zero when every address is
-	// concrete.
+	// AddrRounds counts address-split rejections (assignments rejected for
+	// symbolic-address inconsistency); AddrLemmas counts the lemmas they
+	// added. Both stay zero when every address is concrete.
 	AddrRounds int64
 	AddrLemmas int64
 	// MappingBlocks counts mapping-refinement blocking clauses: theory
@@ -113,8 +120,9 @@ type Stats struct {
 	Solves int64
 	// SATConflicts / SATDecisions / SATPropagations / SATRestarts /
 	// SATLearned mirror the CDCL engine's own effort counters, for the
-	// consolidated metrics registry. SATSolves counts individual engine
-	// Solve calls (one per theory round).
+	// consolidated metrics registry. SATSolves counts engine Solve calls:
+	// one per DPLL(T) entry (Solve, and the first solve and each descent
+	// step of SolveMinimal), with every theory check inside it.
 	SATConflicts    int64
 	SATDecisions    int64
 	SATPropagations int64
@@ -200,8 +208,8 @@ func (sess *Session) assumeLits() []sat.Lit {
 	return lits
 }
 
-// Solve runs the DPLL(T) loop until a validated schedule emerges. The
-// returned stats pointer aliases the session's cumulative statistics.
+// Solve runs one DPLL(T) search to a validated schedule. The returned
+// stats pointer aliases the session's cumulative statistics.
 func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 	sess.st.Solves++
 	sol, err := sess.solve(sess.arm(), -1)
@@ -209,8 +217,8 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 	return sol, &sess.st, err
 }
 
-// arm starts a DPLL(T) entry: it fixes the entry's deadline and installs
-// the SAT engine's stop hook, and returns the interrupt poll.
+// arm starts a Solve or SolveMinimal call: it fixes the call's deadline
+// and installs the SAT engine's stop hook, and returns the interrupt poll.
 func (sess *Session) arm() func() bool {
 	opts := sess.opts
 	var deadline time.Time
@@ -245,11 +253,14 @@ func (sess *Session) arm() func() bool {
 	return interrupted
 }
 
-// solve is one DPLL(T) run under the live clause groups and, when bound
-// is non-negative, the assumption that at most bound preemption charges
-// hold (see descent.go). Every lemma it learns is valid for the whole
-// system, so the session stays reusable whatever the outcome; an Unsat
-// verdict under a bound only refutes that bound.
+// solve is one DPLL(T) entry: a single SAT call under the live clause
+// groups and, when bound is non-negative, the assumption that at most
+// bound preemption charges hold (see descent.go). The theories run inside
+// that call, as the SAT engine's hook on every complete assignment: each
+// lemma they queue joins the search at its asserting level, and the first
+// model all of them accept is the entry's schedule. Every lemma is valid
+// for the whole system, so the session stays reusable whatever the
+// outcome; an Unsat verdict under a bound only refutes that bound.
 func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution, error) {
 	opts := sess.opts
 	e := sess.e
@@ -258,31 +269,27 @@ func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution
 	if bound >= 0 {
 		assume = append(assume, e.d.atMost[bound])
 	}
-	base := st.TheoryRounds
-	lazyThisCall := 0
-	addrThisCall := 0
-	for round := 0; round < opts.MaxTheoryRounds; {
-		st.TheoryRounds = base + round + 1
+	var (
+		sol                   *solver.Solution
+		err                   error
+		values, orders, addrs int
+	)
+	fail := func(cause error) sat.Status {
+		err = cause
+		return sat.Unknown
+	}
+	e.s.Theory = func() sat.Status {
 		if opts.Progress != nil {
 			sess.refresh()
 			opts.Progress(*st)
 		}
 		if interrupted() {
-			return nil, &solver.Interrupted{Reason: "cnf theory loop cut short", Bound: -1}
-		}
-		st.SATSolves++
-		switch e.s.Solve(assume...) {
-		case sat.Sat:
-		case sat.Unknown:
-			return nil, &solver.Interrupted{Reason: "sat search cut short", Bound: -1}
-		default:
-			return nil, e.unsat(round + 1)
+			return fail(&solver.Interrupted{Reason: "cnf theory loop cut short", Bound: -1})
 		}
 		// Order theories first: reject models whose order relation is
 		// cyclic (learning one lemma per cycle found), then, during a
-		// descent, extracted orders that break a closed gap. These rounds
-		// are cheap (incremental SAT + graph walks) and do not consume the
-		// value-theory round budget.
+		// descent, extracted orders that break a closed gap. These checks
+		// are graph walks and do not consume the value-theory budget.
 		var order []constraints.SAPRef
 		added := e.refineAcyclic()
 		if added == 0 {
@@ -294,23 +301,23 @@ func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution
 		if added > 0 {
 			st.LazyRounds++
 			st.LazyLemmas += int64(added)
-			if lazyThisCall++; lazyThisCall > maxLazyRounds {
-				return nil, fmt.Errorf("cnfsolver: order refinement did not converge in %d rounds", maxLazyRounds)
+			if orders++; orders > maxLazyRounds {
+				return fail(fmt.Errorf("cnfsolver: order refinement did not converge in %d rounds", maxLazyRounds))
 			}
-			continue
+			return sat.Unsat
 		}
 		if e.symbolicAddrs {
 			// Address-split theory: evaluate every symbolic address under
 			// the mapping-implied values and reject models whose read-from
 			// choices contradict the resulting concrete alias classes. Like
-			// the transitivity rounds, these repair the model rather than
-			// reject a mapping, so they have their own budget.
+			// the order checks, these repair the model rather than reject a
+			// mapping, so they have their own budget.
 			added, coarse := e.refineAddrSplit(order)
 			if added == 0 && coarse {
 				// No targeted lemma possible (a support escaped the choice
 				// structure — not expected for preprocessed systems): fall
 				// back to blocking the exact model projection, which keeps
-				// the loop progressing at the cost of possibly excluding
+				// the search progressing at the cost of possibly excluding
 				// untested linear extensions.
 				e.blockModel()
 				added = 1
@@ -318,26 +325,41 @@ func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution
 			if added > 0 {
 				st.AddrRounds++
 				st.AddrLemmas += int64(added)
-				if addrThisCall++; addrThisCall > maxAddrRounds {
-					return nil, fmt.Errorf("cnfsolver: address-split refinement did not converge in %d rounds", maxAddrRounds)
+				if addrs++; addrs > maxAddrRounds {
+					return fail(fmt.Errorf("cnfsolver: address-split refinement did not converge in %d rounds", maxAddrRounds))
 				}
-				continue
+				return sat.Unsat
 			}
 		}
-		round++
-		st.TheoryRounds = base + round
-		w, err := e.sys.ValidateSchedule(order)
-		if err == nil {
-			return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, nil
+		values++
+		st.TheoryRounds++
+		w, verr := e.sys.ValidateSchedule(order)
+		if verr == nil {
+			sol = &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}
+			return sat.Sat
 		}
 		// Theory rejection: derive the smallest sound conflict clause.
 		// A violated path/bug condition depends only on the mappings in
 		// its transitive support, so blocking that support kills every
 		// model sharing it; otherwise fall back to the mapping projection.
-		e.block(err)
+		e.block(verr)
 		st.MappingBlocks++
+		if values >= opts.MaxTheoryRounds {
+			return fail(fmt.Errorf("cnfsolver: theory refinement did not converge in %d rounds", opts.MaxTheoryRounds))
+		}
+		return sat.Unsat
 	}
-	return nil, fmt.Errorf("cnfsolver: theory refinement did not converge in %d rounds", opts.MaxTheoryRounds)
+	st.SATSolves++
+	switch e.s.Solve(assume...) {
+	case sat.Sat:
+		return sol, nil
+	case sat.Unknown:
+		if err == nil {
+			err = &solver.Interrupted{Reason: "sat search cut short", Bound: -1}
+		}
+		return nil, err
+	}
+	return nil, e.unsat(values + 1)
 }
 
 // Mapping returns, for each read, the choice index selected by the last
@@ -499,14 +521,11 @@ type encoder struct {
 	conflicts []RegionConflict
 
 	// Lazy-transitivity state: the Pearce–Kelly order graph (reset each
-	// refinement round), the linearization scratch and reusable lemma
-	// buffers (staged holds a round's lemmas back-to-back, stagedEnd
-	// their end offsets).
-	og        *solver.OrderGraph
-	lin       linScratch
-	lemmaBuf  []sat.Lit
-	staged    []sat.Lit
-	stagedEnd []int
+	// theory check), the linearization scratch and a reusable lemma
+	// buffer.
+	og       *solver.OrderGraph
+	lin      linScratch
+	lemmaBuf []sat.Lit
 	// d is the preemption encoding, built by the first descent step of
 	// SolveMinimal (nil before).
 	d *descent
@@ -678,7 +697,7 @@ func (e *encoder) unsat(rounds int) *Unsat {
 // edge literals along the cycle — a clause every total order satisfies).
 // It returns the number of lemmas added; zero means the relation is
 // acyclic and linearize may order the model.
-func (e *encoder) refineAcyclic() int {
+func (e *encoder) refineAcyclic() (n int) {
 	if e.og == nil {
 		e.og = solver.NewOrderGraph(e.n)
 	}
@@ -701,30 +720,18 @@ func (e *encoder) refineAcyclic() int {
 		}
 		lits = append(lits, e.lit(from, to).Not())
 		e.lemmaBuf = lits
-		e.stage(lits...)
+		e.lemma(lits...)
+		n++
 	}
-	return e.flush()
-}
-
-// stage buffers a refinement lemma until flush. A refinement scan reads
-// the model as it goes, and adding a clause rewinds the SAT trail to
-// level 0: a lemma added mid-scan would leave the rest of the scan
-// reading unassigned variables instead of the model.
-func (e *encoder) stage(lits ...sat.Lit) {
-	e.staged = append(e.staged, lits...)
-	e.stagedEnd = append(e.stagedEnd, len(e.staged))
-}
-
-// flush adds the staged lemmas and returns how many there were.
-func (e *encoder) flush() int {
-	start := 0
-	for _, end := range e.stagedEnd {
-		e.add(e.staged[start:end]...)
-		start = end
-	}
-	n := len(e.stagedEnd)
-	e.staged, e.stagedEnd = e.staged[:0], e.stagedEnd[:0]
 	return n
+}
+
+// lemma queues a refinement lemma from inside the theory hook; the SAT
+// engine adds it when the hook returns, so a scan reads the model
+// throughout.
+func (e *encoder) lemma(lits ...sat.Lit) {
+	e.clauses++
+	e.s.AddLemma(lits...)
 }
 
 // learnValueLemmas statically discharges the easy value constraints: for
@@ -811,8 +818,8 @@ func (e *encoder) learnValueLemmas() {
 //  2. Otherwise block the full mapping projection.
 func (e *encoder) block(verr error) {
 	if ve, ok := verr.(*constraints.ValidationError); ok && ve.FailedExpr != nil {
-		if lits := e.supportClause(ve.FailedExpr); lits != nil {
-			e.add(lits...)
+		if lits, ok := e.suppLits(symbolic.Syms(ve.FailedExpr, nil, nil), map[int]bool{}, nil); ok {
+			e.lemma(lits...)
 			return
 		}
 	}
@@ -820,7 +827,7 @@ func (e *encoder) block(verr error) {
 	for _, v := range e.mapVars {
 		lits = append(lits, sat.MkLit(v, e.s.Value(v)))
 	}
-	e.add(lits...)
+	e.lemma(lits...)
 }
 
 // blockModel forbids the exact current model projection: every mapping
@@ -837,7 +844,7 @@ func (e *encoder) blockModel() {
 	for _, p := range e.pairs {
 		lits = append(lits, sat.MkLit(int(p.v), e.s.Value(int(p.v))))
 	}
-	e.add(lits...)
+	e.lemma(lits...)
 }
 
 // currentChoice returns the selected choice index of read ri in the SAT
@@ -849,17 +856,6 @@ func (e *encoder) currentChoice(ri int) int {
 		}
 	}
 	return -1
-}
-
-// supportClause negates the current choices of every read in the
-// expression's transitive value support, or nil when the support escapes
-// the choice structure (a free read or an unset choice).
-func (e *encoder) supportClause(expr symbolic.Expr) []sat.Lit {
-	lits, ok := e.suppLits(symbolic.Syms(expr, nil, nil), map[int]bool{}, nil)
-	if !ok {
-		return nil
-	}
-	return lits
 }
 
 // suppLits appends the negated current choice of every read in the

@@ -184,7 +184,7 @@ func (e *encoder) counter(lits []sat.Lit, width int) []sat.Lit {
 // c the same way against a and b, and linearize follows the model, so no
 // (gap, c) pair is learnt twice and the refinement terminates. It returns
 // the number of clauses added.
-func (e *encoder) refineGaps(order []constraints.SAPRef) int {
+func (e *encoder) refineGaps(order []constraints.SAPRef) (n int) {
 	pos := e.positions(order)
 	for _, g := range e.d.gaps {
 		if e.holds(g.open) {
@@ -196,11 +196,12 @@ func (e *encoder) refineGaps(order []constraints.SAPRef) int {
 		}
 		if c := e.intruder(order[lo+1:hi], g); c >= 0 {
 			x, y := e.lit(c, g.a), e.lit(c, g.b)
-			e.stage(g.open, x.Not(), y)
-			e.stage(g.open, x, y.Not())
+			e.lemma(g.open, x.Not(), y)
+			e.lemma(g.open, x, y.Not())
+			n += 2
 		}
 	}
-	return e.flush()
+	return n
 }
 
 // intruder picks the other-thread SAP of in, the SAPs an order puts

@@ -1,6 +1,7 @@
 package cnfsolver_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -102,6 +103,97 @@ func TestDescentMatchesSequentialMinimum(t *testing.T) {
 		t.Fatalf("only %d recordings compared exactly; the sweep refuted too few bounds", exact)
 	}
 	t.Logf("%d recordings compared exactly", exact)
+}
+
+// recordBench records benchmark name from hunt base base and returns its
+// preprocessed system.
+func recordBench(t *testing.T, name string, base int64) *constraints.System {
+	t.Helper()
+	b, ok := bench.ByName(name)
+	if !ok {
+		t.Fatalf("no benchmark %q", name)
+	}
+	prog, err := core.Compile(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := core.Record(prog, core.RecordOptions{Model: b.Model, Inputs: b.Inputs, Seed: base, SeedLimit: b.SeedLimit})
+	if err != nil {
+		t.Fatalf("%s at base %d: %v", name, base, err)
+	}
+	sys, err := rec.Analyze()
+	if err != nil {
+		t.Fatalf("%s at base %d: %v", name, base, err)
+	}
+	sys.Preprocess()
+	return sys
+}
+
+// TestDescentConvergesOnAget guards the value budget on aget, whose path
+// conditions compare a cursor read with the input while its candidate
+// writes store c + 1: no static value lemma covers them, so the value
+// theory rejects one mapping support at a time. SolveMinimal(0) must
+// succeed on the recordings of hunt bases k<<20, k = 0..39, within the
+// default 200 value rejections per entry; with a SAT call per rejection,
+// bases 28<<20 and 32<<20 ran out of that budget.
+func TestDescentConvergesOnAget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records aget forty times")
+	}
+	most := 0
+	for k := int64(0); k < 40; k++ {
+		sys := recordBench(t, "aget", k<<20)
+		sol, st, err := cnfsolver.NewSession(sys, cnfsolver.Options{Deadline: 60 * time.Second}).SolveMinimal(0)
+		if err != nil {
+			t.Errorf("base %d<<20: %v", k, err)
+			continue
+		}
+		if _, err := sys.ValidateSchedule(sol.Order); err != nil {
+			t.Errorf("base %d<<20: schedule does not validate: %v", k, err)
+		}
+		most = max(most, st.TheoryRounds)
+	}
+	t.Logf("at most %d value checks in one SolveMinimal", most)
+}
+
+// TestSolveMinimalDeadlineAndProgress runs racey's descent under short
+// deadlines: it must return within 100 ms of each, with a validated
+// schedule or *solver.Interrupted, and, with every theory check inside
+// one SAT call, Progress must still see the rejection counters move —
+// on at least half the rejections, which the SAT engine's stop-hook
+// stride alone does not reach.
+func TestSolveMinimalDeadlineAndProgress(t *testing.T) {
+	sys := recordBench(t, "racey", 0)
+	for _, deadline := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond} {
+		rises, last := 0, int64(0)
+		progress := func(st cnfsolver.Stats) {
+			if n := st.LazyRounds + st.AddrRounds + st.MappingBlocks; n > last {
+				rises++
+				last = n
+			}
+		}
+		sess := cnfsolver.NewSession(sys, cnfsolver.Options{Deadline: deadline, Progress: progress})
+		start := time.Now()
+		sol, st, err := sess.SolveMinimal(0)
+		if took := time.Since(start); took > deadline+100*time.Millisecond {
+			t.Errorf("deadline %v: SolveMinimal took %v", deadline, took)
+		}
+		var intr *solver.Interrupted
+		switch {
+		case errors.As(err, &intr):
+		case err != nil:
+			t.Errorf("deadline %v: %v", deadline, err)
+		default:
+			if _, verr := sys.ValidateSchedule(sol.Order); verr != nil {
+				t.Errorf("deadline %v: schedule does not validate: %v", deadline, verr)
+			}
+		}
+		rejections := st.LazyRounds + st.AddrRounds + st.MappingBlocks
+		if deadline == 40*time.Millisecond && (rises < 10 || 2*int64(rises) < rejections) {
+			t.Errorf("deadline %v: Progress saw the rejection counters rise %d times in %d rejections, want at least 10 and half", deadline, rises, rejections)
+		}
+		t.Logf("deadline %v: err=%v, rejection counters rose %d times in %d rejections", deadline, err, rises, rejections)
+	}
 }
 
 // TestPropertyDescentSymbolicAddr runs the differential check on random

@@ -1,20 +1,23 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver with two-literal watching, VSIDS-style activity ordering, 1UIP
-// clause learning and Luby restarts.
+// clause learning and Luby restarts, plus a theory hook that makes it the
+// boolean core of a DPLL(T) search.
 //
 // It stands in for the boolean core of the STP/SMT stack the paper builds
-// on. CLAP's own queries are decided by the dedicated procedure in
-// internal/solver (the paper notes they are a simple finite-domain class);
-// the SAT engine powers the SMT-style reference backend in
-// internal/cnfsolver, which encodes the order variables, read→write
-// mappings, lock serialization and wait/signal cardinality as CNF. The
-// solver is independently exercised against brute-force enumeration on
-// random instances and on classic pigeonhole problems.
+// on. internal/cnfsolver encodes CLAP's order variables, read→write
+// mappings, lock serialization and wait/signal cardinality as CNF and
+// checks the order, address and value theories in the hook; that CNF core
+// is a step of the solving ladder on every hard reproduction, where it
+// descends to the fewest preemptions. The solver is exercised against
+// brute-force enumeration on random instances (with and without a
+// lemma-adding hook) and on classic pigeonhole problems.
 package sat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Lit is a literal: variable index << 1 | sign (sign 1 = negated).
@@ -88,7 +91,9 @@ type clause struct {
 // The solver is re-entrant: Solve may be called repeatedly, with clauses
 // added in between, and keeps its learnt clauses across calls. Each Solve
 // first rewinds to decision level 0, so a call with assumptions after a
-// Sat verdict starts from a clean trail.
+// Sat verdict starts from a clean trail. Inside a call, the Theory hook
+// sees every complete assignment and may add lemmas with AddLemma; the
+// search takes them in without starting over.
 type Solver struct {
 	clauses []*clause
 	learnts []*clause
@@ -122,7 +127,10 @@ type Solver struct {
 	// once per conflict and allocated a map plus a growing slice each time.
 	seen      []bool
 	learntBuf []Lit
-	addBuf    []Lit // AddClause normalize scratch
+	addBuf    []Lit // normalize scratch
+	// addLemmas scratch: the batch's clauses and its one-literal lemmas.
+	lemmas []*clause
+	units  []Lit
 
 	// Problem clauses come out of slab arenas: large encodings (the CNF
 	// backend emits tens of thousands of clauses) cost O(clauses/slab)
@@ -148,9 +156,22 @@ type Solver struct {
 
 	// Stop, when set, is polled between conflicts; returning true aborts
 	// Solve with Unknown. It is how deadline-governed callers (the CNF
-	// backend's theory loop) keep a single SAT call from outliving its
-	// budget.
+	// backend) keep a single SAT call from outliving its budget.
 	Stop func() bool
+
+	// Theory, when set, is the theory check of a DPLL(T) search: Solve
+	// calls it on every complete assignment, which it reads with Value. It
+	// returns Sat to accept the assignment, which Solve then returns;
+	// Unsat to reject it, after queueing with AddLemma at least one clause
+	// the assignment violates or that mentions a variable the hook created
+	// with NewVar; or Unknown to end Solve with Unknown. Solve adds the
+	// queued lemmas when the hook returns, whatever its verdict (lemmas
+	// queued by an accepting call make it a rejection), and goes on from
+	// the lowest level where one of them is unit or stops conflicting.
+	Theory func() Status
+	// inTheory is set while the Theory hook runs: AddLemma queues only
+	// then.
+	inTheory bool
 }
 
 // New creates a solver over nvars variables.
@@ -173,6 +194,12 @@ func (s *Solver) grow(nvars int) {
 		s.polarity = append(s.polarity, false)
 		s.seen = append(s.seen, false)
 		s.watches = append(s.watches, nil, nil)
+		// Once the decision heap exists, a new variable joins it at once:
+		// the Theory hook creates variables in the middle of a search, and
+		// the search must decide them before the next complete assignment.
+		if s.order != nil {
+			s.order.push(len(s.assign) - 1)
+		}
 	}
 }
 
@@ -232,10 +259,12 @@ func (s *Solver) newClause(lits []Lit) *clause {
 	return c
 }
 
-// AddClause adds a clause (returns false if the formula became trivially
-// unsatisfiable). It may be called between Solve calls — the trail is
-// rewound to level 0 first — which is how the lazy-theory loop in
-// internal/cnfsolver adds blocking clauses incrementally.
+// AddClause adds a clause between Solve calls (it returns false if the
+// formula became trivially unsatisfiable). It rewinds the trail to level
+// 0 first, so it is for clauses that do not depend on a model: an
+// encoding, clause groups, or anything added before the next Solve.
+// Clauses that refute the model under inspection go through AddLemma from
+// the Theory hook instead.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
@@ -243,27 +272,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.origLits = append(s.origLits, lits...)
 	s.origEnd = append(s.origEnd, int32(len(s.origLits)))
 	s.cancelUntil(0)
-	// Normalize: sort, dedupe, drop tautologies and false literals.
-	ls := append(s.addBuf[:0], lits...)
-	s.addBuf = ls
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	out := ls[:0]
-	var prev Lit = -1
-	for _, l := range ls {
-		if l == prev {
-			continue
-		}
-		if prev >= 0 && l == prev.Not() && l.Var() == prev.Var() {
-			return true // tautology
-		}
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at level 0
-		case lFalse:
-			continue // drop
-		}
-		out = append(out, l)
-		prev = l
+	out, keep := s.normalize(lits)
+	if !keep {
+		return true
 	}
 	switch len(out) {
 	case 0:
@@ -279,6 +290,130 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	c := s.newClause(out)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
+	return true
+}
+
+// normalize sorts a copy of lits into the addBuf scratch, drops duplicate
+// literals and literals false at level 0, and reports false when the
+// clause is a tautology or already true at level 0.
+func (s *Solver) normalize(lits []Lit) ([]Lit, bool) {
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
+	out := ls[:0]
+	var prev Lit = -1
+	for _, l := range ls {
+		if l == prev {
+			continue
+		}
+		if prev >= 0 && l == prev.Not() {
+			return nil, false // tautology
+		}
+		if val := s.value(l); val != lUndef && s.level[l.Var()] == 0 {
+			if val == lTrue {
+				return nil, false
+			}
+			continue
+		}
+		out = append(out, l)
+		prev = l
+	}
+	return out, true
+}
+
+// AddLemma queues a clause from inside the Theory hook; Solve adds the
+// queued clauses when the hook returns. A lemma joins the problem for
+// good, like an AddClause clause, and WriteDIMACS exports it. Calling it
+// outside the hook panics.
+func (s *Solver) AddLemma(lits ...Lit) {
+	if !s.inTheory {
+		panic("sat: AddLemma outside the theory hook")
+	}
+	s.origLits = append(s.origLits, lits...)
+	s.origEnd = append(s.origEnd, int32(len(s.origLits)))
+}
+
+// addLemmas takes in the lemmas queued since the from-th original clause.
+// Each one is normalized as AddClause does at level 0, its literals are
+// ordered non-false first and false ones by decreasing level, and it gets
+// a backjump target: with every literal false, its second-highest level
+// when the top level is unique, else the top level minus one; with one
+// non-false literal, its highest false level (no backjump when that
+// literal is true at or below it). The solver backjumps once, to the
+// lowest target, attaches every lemma as a problem clause watched on its
+// first two literals, and enqueues the ones that became unit with the
+// lemma as reason. The ordering survives the backjump — it unassigns
+// exactly the highest-level false literals, which sit right after the
+// non-false ones — so the watches are the two best literals. A lemma that
+// still conflicts, because a unit of the same batch falsified it, is left
+// to propagate and the usual 1UIP analysis. It returns false when a lemma
+// is false at level 0.
+func (s *Solver) addLemmas(from int) bool {
+	start := int32(0)
+	if from > 0 {
+		start = s.origEnd[from-1]
+	}
+	target := s.decisionLevel()
+	lemmas := s.lemmas[:0]
+	units := s.units[:0]
+	rank := func(l Lit) int32 {
+		if s.value(l) != lFalse {
+			return math.MaxInt32
+		}
+		return s.level[l.Var()]
+	}
+	for _, end := range s.origEnd[from:] {
+		lits, keep := s.normalize(s.origLits[start:end])
+		start = end
+		if !keep {
+			continue
+		}
+		if len(lits) == 0 {
+			s.ok = false
+			return false
+		}
+		slices.SortStableFunc(lits, func(a, b Lit) int { return cmp.Compare(rank(b), rank(a)) })
+		t := s.decisionLevel()
+		switch {
+		case len(lits) == 1:
+			units = append(units, lits[0])
+			t = 0
+		case s.value(lits[1]) != lFalse:
+			// Two non-false literals: the watches hold as they are.
+		case s.value(lits[0]) == lTrue && s.level[lits[0].Var()] <= s.level[lits[1].Var()]:
+			// True since before the lemma could turn unit.
+		case s.value(lits[0]) != lFalse, s.level[lits[1].Var()] < s.level[lits[0].Var()]:
+			t = int(s.level[lits[1].Var()])
+		default:
+			t = int(s.level[lits[0].Var()]) - 1
+		}
+		if len(lits) > 1 {
+			lemmas = append(lemmas, s.newClause(lits))
+		}
+		target = min(target, t)
+	}
+	s.lemmas, s.units = lemmas, units
+	s.cancelUntil(target)
+	// Find every unit lemma before enqueueing any: an enqueued unit may
+	// falsify a literal of a later lemma, which must then not look unit.
+	n := 0
+	for i, c := range lemmas {
+		s.clauses = append(s.clauses, c)
+		s.watch(c)
+		if s.value(c.lits[0]) == lUndef && s.value(c.lits[1]) == lFalse {
+			lemmas[n], lemmas[i] = lemmas[i], lemmas[n]
+			n++
+		}
+	}
+	for _, l := range units {
+		if !s.enqueue(l, nil) {
+			s.ok = false
+			return false
+		}
+	}
+	for _, c := range lemmas[:n] {
+		s.enqueue(c.lits[0], c)
+	}
 	return true
 }
 
@@ -527,11 +662,8 @@ type SolveStats struct {
 
 // Solve decides satisfiability. Assumptions, if given, are enforced as
 // decision-level-1 choices; Unsat under assumptions means no model extends
-// them.
+// them. With a Theory hook, Sat means the hook accepted the model.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	if !s.ok {
-		return Unsat
-	}
 	// LastSolve is computed as a delta on every exit path: Solve returns
 	// from half a dozen places, so the bookkeeping lives in one defer.
 	at := SolveStats{
@@ -547,20 +679,21 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			Restarts:     s.Restarts - at.Restarts,
 		}
 	}()
+	if !s.ok {
+		return Unsat
+	}
 	// Rewind any leftover trail from a previous Solve: a Sat verdict leaves
 	// the model assigned, and re-entering with assumptions on top of stale
 	// decision levels would corrupt the assumption indexing.
 	s.cancelUntil(0)
-	// The heap persists across calls (cancelUntil pushes unassigned vars
-	// back); the repair loop below is a no-op for members and costs no
-	// allocation, it just restores the "every unassigned var is enqueued"
-	// invariant for variables created since the last call.
+	// The heap persists across calls: cancelUntil pushes unassigned vars
+	// back, and grow pushes every variable created after this point.
 	if s.order == nil {
 		s.order = newVarHeap(s)
-	}
-	for v := 0; v < len(s.assign); v++ {
-		if s.assign[v] == lUndef {
-			s.order.push(v)
+		for v := 0; v < len(s.assign); v++ {
+			if s.assign[v] == lUndef {
+				s.order.push(v)
+			}
 		}
 	}
 	restart := int64(1)
@@ -576,6 +709,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unknown
 			}
 			if s.decisionLevel() == 0 {
+				// A level-0 conflict refutes the formula itself. Without
+				// ok=false a later call would resume propagation past the
+				// conflicting literal and miss it.
+				s.ok = false
 				return Unsat
 			}
 			// Backjump to the learnt clause's natural level, even when that
@@ -589,6 +726,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.cancelUntil(bl)
 			if len(learnt) == 1 {
 				if !s.enqueue(learnt[0], nil) {
+					s.ok = false
 					return Unsat
 				}
 			} else {
@@ -643,7 +781,31 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 		}
 		if v == -1 {
-			return Sat
+			if s.Theory == nil {
+				return Sat
+			}
+			// The DPLL(T) check. Its lemmas are the originals recorded from
+			// here on; addLemmas integrates them, and propagation resumes
+			// from the level they backjumped to.
+			from := len(s.origEnd)
+			s.inTheory = true
+			verdict := s.Theory()
+			s.inTheory = false
+			queued := len(s.origEnd) > from
+			if queued && !s.addLemmas(from) {
+				return Unsat
+			}
+			switch {
+			case verdict == Unknown:
+				return Unknown
+			case queued:
+				continue
+			case verdict == Sat:
+				return Sat
+			}
+			// A rejection without a lemma would meet the same assignment
+			// again.
+			return Unknown
 		}
 		s.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
@@ -651,7 +813,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 }
 
-// Value returns the model value of variable v after Sat.
+// Value returns the model value of variable v after Sat, or its value in
+// the assignment the Theory hook inspects; an unassigned variable (one
+// the hook just created) reads false.
 func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
 
 // Model returns the full model after Sat.
