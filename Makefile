@@ -8,7 +8,8 @@ FUZZ_TARGETS := ./internal/trace:FuzzDecodePathLog \
 	./internal/trace:FuzzDecodeSyncOrderLog \
 	./internal/clapd:FuzzDecodeBundle \
 	./internal/ir:FuzzCompileSource \
-	./internal/sat:FuzzTheoryHook
+	./internal/sat:FuzzTheoryHook \
+	./internal/obs:FuzzDecodeProm
 
 .PHONY: ci lint vet fmt-check build test e2ebench-check e2ebench-smoke \
 	fuzz-smoke bench-gate vet-examples races-examples race-obs \

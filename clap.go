@@ -39,11 +39,11 @@ const (
 	Parallel = core.Parallel
 	// CNF is the SAT encoding with a CDCL core.
 	CNF = core.CNF
-	// Portfolio runs Sequential for a 20 ms head start, then CNF with the
-	// rest of the budget, descending to the fewest preemptions it can
-	// prove, then Sequential again if CNF failed before the deadline
-	// without an unsat proof, recording the per-attempt trail in
-	// Reproduction.Attempts.
+	// Portfolio runs Sequential for a 20 ms head start on SC recordings,
+	// then CNF with the rest of the budget, searching to the fewest
+	// preemptions, then Sequential again if CNF failed before the
+	// deadline without an unsat proof; a TSO/PSO recording starts at CNF.
+	// The per-attempt trail is in Reproduction.Attempts.
 	Portfolio = core.Portfolio
 )
 

@@ -48,9 +48,9 @@
 //	-input a,b,c        deterministic program inputs
 //	-solver seq|par|cnf|portfolio
 //	                    solving strategy (default seq); portfolio runs
-//	                    seq for a 20 ms head start, then cnf, then seq
-//	                    again if cnf failed without an unsat proof,
-//	                    printing the attempt trail
+//	                    seq for a 20 ms head start (SC recordings only),
+//	                    then cnf, then seq if cnf failed without an
+//	                    unsat proof, printing the attempt trail
 //	-cs N               preemption bound (-1 = minimal, default)
 //	-timeout D          bound each phase's wall time (e.g. 30s, 2m);
 //	                    interrupted phases report partial diagnostics

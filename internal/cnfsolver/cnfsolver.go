@@ -19,9 +19,10 @@
 // the assignment forces it (linearize.go) is the candidate total order.
 //
 // Session.SolveMinimal adds the paper's minimal-preemption goal (§4.2):
-// a preemption charge per open program-order gap, a counter over the
-// charges, and a descent under ever tighter bounds on the same session
-// (descent.go).
+// preemption charges that count what constraints.CountSwitches counts —
+// per open execution-chain gap, and per buffered TSO/PSO write that drains
+// between other threads' SAPs — a counter over the charges, and a search
+// over the bound on the same session (descent.go).
 //
 // Symbolic addresses (CLAP §5: array accesses whose index is itself a
 // read value) are a second lazy theory, address-split refinement: each

@@ -1,6 +1,7 @@
 package cnfsolver_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -196,6 +197,52 @@ func TestSolveMinimalDeadlineAndProgress(t *testing.T) {
 	}
 }
 
+// TestSolveMinimalCutKeepsFirstSchedule pins what a search cut short
+// returns: the first schedule, without an error. The bound walks up, and
+// no bound below the minimum admits a schedule, so a cut search improves
+// nothing; on a TSO/PSO recording the first schedule is often several
+// times the minimum (DESIGN.md, "The search", has the figures under short
+// deadlines). Progress cancels the context on the first check inside the
+// search, and every bound that admits a schedule passes through such a
+// check first, so the cut is deterministic.
+func TestSolveMinimalCutKeepsFirstSchedule(t *testing.T) {
+	sys := recordBench(t, "bakery", 0)
+	opts := cnfsolver.Options{Deadline: 60 * time.Second}
+	first, _, err := cnfsolver.NewSession(sys, opts).Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _, err := cnfsolver.NewSession(sys, opts).SolveMinimal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Preemptions >= first.Preemptions {
+		t.Fatalf("first schedule has %d preemptions, the minimum %d: nothing to cut", first.Preemptions, full.Preemptions)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts.Ctx = ctx
+	opts.Progress = func(st cnfsolver.Stats) {
+		if st.Descents > 0 {
+			cancel()
+		}
+	}
+	sol, st, err := cnfsolver.NewSession(sys, opts).SolveMinimal(0)
+	if err != nil {
+		t.Fatalf("cut search: %v", err)
+	}
+	if st.Descents == 0 {
+		t.Fatal("the search never started")
+	}
+	if _, err := sys.ValidateSchedule(sol.Order); err != nil {
+		t.Fatalf("cut search: schedule does not validate: %v", err)
+	}
+	if sol.Preemptions != first.Preemptions {
+		t.Fatalf("cut search returned %d preemptions, want the first schedule's %d", sol.Preemptions, first.Preemptions)
+	}
+	t.Logf("first schedule %d preemptions, minimum %d", first.Preemptions, full.Preemptions)
+}
+
 // TestPropertyDescentSymbolicAddr runs the differential check on random
 // symbolic-address programs, where address-split refinement shapes every
 // descent step.
@@ -227,13 +274,157 @@ func TestPropertyDescentSymbolicAddr(t *testing.T) {
 	t.Logf("%d random programs compared exactly", exact)
 }
 
+// drainLateTSO needs main's buffered store to x to drain after the
+// child's load of x and right before main's fence: glued to the chain SAP
+// after it, not the one before.
+const drainLateTSO = `
+int x;
+int y;
+int seen;
+func child() {
+	int c = x;
+	y = 1;
+	seen = c;
+}
+func main() {
+	int h = spawn child();
+	x = 1;
+	fence();
+	int r = y;
+	join(h);
+	int s = seen;
+	assert(!(r == 1 && s == 0), "y landed before x was seen");
+}
+`
+
+// drainPairTSO needs both of main's buffered stores to drain together
+// between the child's loads, while main waits at its join: a run of two
+// drains, the second glued to the first.
+const drainPairTSO = `
+int x;
+int z;
+func child() {
+	int c1 = x;
+	int c2 = z;
+	int c3 = x;
+	int c4 = z;
+	assert(!(c1 == 0 && c2 == 0 && c3 == 1 && c4 == 1), "both stores landed between the loads");
+}
+func main() {
+	int h = spawn child();
+	x = 1;
+	z = 1;
+	join(h);
+}
+`
+
+// drainAfterJoinTSO switches away from main at its join while its store
+// to x is still buffered: a preemption although the join cannot run yet.
+const drainAfterJoinTSO = `
+int x;
+int seen;
+func child() {
+	seen = x;
+}
+func main() {
+	int h = spawn child();
+	x = 1;
+	join(h);
+	int s = seen;
+	assert(s == 1, "the child missed the store");
+}
+`
+
+// drainEarlyTSO needs main's buffered store to x to drain right after its
+// spawn, before the child runs, and main's load of y to wait for the
+// child: glued to the chain SAP before it, not the one after.
+const drainEarlyTSO = `
+int x;
+int y;
+int seen;
+func child() {
+	int c = x;
+	y = 1;
+	seen = c;
+}
+func main() {
+	int h = spawn child();
+	x = 1;
+	int r = y;
+	join(h);
+	int s = seen;
+	assert(!(r == 1 && s == 1), "the child ran between the store and the load");
+}
+`
+
+// relaxedDraws records the TSO/PSO draws of oracle.Program from seeds
+// 44–48, 24 trials each, shapes in turn; the SC draws are skipped.
+func relaxedDraws(t *testing.T) (names []string, systems []*constraints.System) {
+	t.Helper()
+	for seed := int64(44); seed <= 48; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 24; trial++ {
+			shape := oracle.Shapes[trial%len(oracle.Shapes)]
+			src, model := oracle.Program(r, shape)
+			if model == vm.SC {
+				continue
+			}
+			prog, err := core.Compile(src)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v\n%s", seed, trial, err, src)
+			}
+			rec, err := core.Record(prog, core.RecordOptions{Model: model, SeedLimit: 3000})
+			if err != nil {
+				continue // this variant never failed
+			}
+			sys, err := rec.Analyze()
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v\n%s", seed, trial, err, src)
+			}
+			sys.Preprocess()
+			names = append(names, fmt.Sprintf("%s %v seed %d trial %d", shape, model, seed, trial))
+			systems = append(systems, sys)
+		}
+	}
+	return names, systems
+}
+
+// chargesExact checks the two facts a refuted bound's proof rests on at
+// the oracle minimum want, each on a fresh session: the bound want admits
+// a schedule, which has want preemptions (no schedule is over-charged out
+// of it), and the bound want−1 is refuted (no model's charges undercount
+// its schedule's preemptions down to it).
+func chargesExact(t *testing.T, name string, sys *constraints.System, want int) bool {
+	t.Helper()
+	opts := cnfsolver.Options{Deadline: 60 * time.Second}
+	sol, err := cnfsolver.NewSession(sys, opts).SolveBound(want)
+	if err != nil {
+		t.Errorf("%s: bound %d (the oracle minimum) admits no schedule: %v", name, want, err)
+		return false
+	}
+	if sol.Preemptions != want {
+		t.Errorf("%s: bound %d admits a schedule with %d preemptions", name, want, sol.Preemptions)
+		return false
+	}
+	if want == 0 {
+		return true
+	}
+	var unsat *cnfsolver.Unsat
+	if _, err := cnfsolver.NewSession(sys, opts).SolveBound(want - 1); !errors.As(err, &unsat) {
+		t.Errorf("%s: bound %d, below the oracle minimum, is not refuted: %v", name, want-1, err)
+		return false
+	}
+	return true
+}
+
 // TestDescentMatchesOracleMinimum checks both minimal-preemption searches
 // against the fewest preemptions over every valid schedule, on the
-// hand-written systems and on random programs of every shape. Under SC
-// without condition variables SolveMinimal(0) must reach that minimum;
-// elsewhere the descent is a heuristic and only has to validate and stay
-// at or above it. The sequential search is exact on every model, so
-// whenever it returns a schedule it must sit at the minimum.
+// hand-written systems, on random SC programs of every shape and on the
+// TSO/PSO draws of relaxedDraws. Without condition variables
+// SolveMinimal(0) must reach that minimum under every memory model, and
+// the charges must be exact there (chargesExact). The
+// sequential search is exact on every model, so whenever it returns a
+// schedule it must sit at the minimum.
 func TestDescentMatchesOracleMinimum(t *testing.T) {
 	type named struct {
 		name string
@@ -248,6 +439,10 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 		{"figure2", figure2SC, vm.SC},
 		{"lost update", lostUpdateSC, vm.SC},
 		{"figure2 PSO", figure2PSO, vm.PSO},
+		{"late drain", drainLateTSO, vm.TSO},
+		{"early drain", drainEarlyTSO, vm.TSO},
+		{"drain pair", drainPairTSO, vm.TSO},
+		{"drain after join", drainAfterJoinTSO, vm.TSO},
 	} {
 		_, sys := buildSystem(t, tc.src, tc.model, 3000)
 		sys.Preprocess()
@@ -257,6 +452,9 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		shape := oracle.Shapes[trial%len(oracle.Shapes)]
 		src, model := oracle.Program(r, shape)
+		if model != vm.SC {
+			continue // among relaxedDraws
+		}
 		prog, err := core.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
@@ -271,6 +469,10 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 		}
 		sys.Preprocess()
 		systems = append(systems, named{fmt.Sprintf("%s trial %d", shape, trial), sys})
+	}
+	names, relaxedSystems := relaxedDraws(t)
+	for i, sys := range relaxedSystems {
+		systems = append(systems, named{names[i], sys})
 	}
 
 	exact, relaxed, sequential := 0, 0, 0
@@ -287,13 +489,15 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 			t.Fatalf("%s: descent schedule does not validate: %v", c.name, err)
 		}
 		switch {
-		case c.sys.Model == vm.SC && !usesCondvars(c.sys):
-			if sol.Preemptions != want {
-				t.Errorf("%s: descent returned %d preemptions, the oracle minimum is %d", c.name, sol.Preemptions, want)
+		case usesCondvars(c.sys):
+			if sol.Preemptions < want {
+				t.Errorf("%s: descent returned %d preemptions, below the oracle minimum %d", c.name, sol.Preemptions, want)
 			}
+		case sol.Preemptions != want:
+			t.Errorf("%s: descent returned %d preemptions, the oracle minimum is %d", c.name, sol.Preemptions, want)
+		case !chargesExact(t, c.name, c.sys, want):
+		case c.sys.Model == vm.SC:
 			exact++
-		case sol.Preemptions < want:
-			t.Errorf("%s: descent returned %d preemptions, below the oracle minimum %d", c.name, sol.Preemptions, want)
 		default:
 			relaxed++
 		}
@@ -306,8 +510,68 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 		}
 		sequential++
 	}
-	if exact < 6 || relaxed < 3 || 2*sequential < len(systems) {
+	if exact < 6 || relaxed < 20 || 2*sequential < len(systems) {
 		t.Fatalf("compared %d SC and %d TSO/PSO descents and %d of %d sequential searches; too few", exact, relaxed, sequential, len(systems))
 	}
 	t.Logf("compared %d SC and %d TSO/PSO descents and %d sequential searches with the oracle minimum", exact, relaxed, sequential)
+}
+
+// storeForwardTSO is the store-buffer draw oracle.Program leaves out:
+// thread 0 reloads its own flag, and thread 1 fences after raising its
+// flag. Under TSO the VM forwards thread 0's buffered flag store to the
+// reload without draining it, so both threads can see the other's flag
+// down, while the encoding's same-address W→R edge drains the store
+// before the reload and leaves that failure no valid schedule.
+const storeForwardTSO = `
+int flag0;
+int flag1;
+int bad;
+func t0() {
+	flag0 = 1;
+	int mine = flag0;
+	if (flag1 == 0) {
+		bad = bad + 1;
+	}
+}
+func t1() {
+	flag1 = 1;
+	fence();
+	if (flag0 == 0) {
+		bad = bad + 1;
+	}
+}
+func main() {
+	int h0 = spawn t0();
+	int h1 = spawn t1();
+	join(h0);
+	join(h1);
+	int b = bad;
+	assert(b <= 1, "both passed the gate");
+}
+`
+
+// TestStoreForwardingReproduces records storeForwardTSO, which fails in
+// the VM. While the encoding drains a buffered store before its own
+// thread's reload of the address, the oracle finds no valid schedule and
+// the test skips (ROADMAP.md item 5; FOUND in CHANGES.md). Once the
+// encoding forwards such stores, the test runs: the descent must reach
+// the oracle minimum with exact charges.
+func TestStoreForwardingReproduces(t *testing.T) {
+	_, sys := buildSystem(t, storeForwardTSO, vm.TSO, 3000)
+	sys.Preprocess()
+	want := walkOracle(t, sys).minPreemptions
+	if want < 0 {
+		t.Skip("known gap: the encoding drains a buffered store before its thread's reload, which the VM forwards, so this TSO failure has no valid schedule (ROADMAP.md item 5)")
+	}
+	sol, _, err := cnfsolver.NewSession(sys, cnfsolver.Options{Deadline: 60 * time.Second}).SolveMinimal(0)
+	if err != nil {
+		t.Fatalf("SolveMinimal: %v", err)
+	}
+	if _, err := sys.ValidateSchedule(sol.Order); err != nil {
+		t.Fatalf("schedule does not validate: %v", err)
+	}
+	if sol.Preemptions != want {
+		t.Fatalf("descent returned %d preemptions, the oracle minimum is %d", sol.Preemptions, want)
+	}
+	chargesExact(t, "store forwarding", sys, want)
 }

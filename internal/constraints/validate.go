@@ -30,24 +30,30 @@ type Witness struct {
 
 // ValidationError explains why a candidate schedule is not a model.
 type ValidationError struct {
-	Reason string
-	At     int // schedule position, -1 when global
+	At int // schedule position, -1 when global
 	// FailedExpr is set when a path condition or the bug predicate
 	// evaluated to false: the violated expression. Solvers use it to
 	// derive conflict clauses over just the involved reads.
 	FailedExpr symbolic.Expr
+	// format and args render the reason. Solvers reject many candidate
+	// schedules and never read the text, so it is formatted only when
+	// Error is called; args hold only values that do not change after
+	// the rejection.
+	format string
+	args   []any
 }
 
 // Error implements error.
 func (e *ValidationError) Error() string {
+	reason := fmt.Sprintf(e.format, e.args...)
 	if e.At >= 0 {
-		return fmt.Sprintf("constraints: invalid schedule at position %d: %s", e.At, e.Reason)
+		return fmt.Sprintf("constraints: invalid schedule at position %d: %s", e.At, reason)
 	}
-	return "constraints: invalid schedule: " + e.Reason
+	return "constraints: invalid schedule: " + reason
 }
 
 func vErr(at int, format string, args ...any) *ValidationError {
-	return &ValidationError{At: at, Reason: fmt.Sprintf(format, args...)}
+	return &ValidationError{At: at, format: format, args: args}
 }
 
 // ValidateSchedule checks a candidate total order of all SAPs against every
@@ -56,7 +62,8 @@ func vErr(at int, format string, args ...any) *ValidationError {
 // locks and condition variables, plus evaluation of Fpath and Fbug. The
 // working state lives in a pooled scratch and the Witness maps are only
 // materialized on acceptance, so the (overwhelmingly common) rejection path
-// allocates nothing.
+// allocates only the error and its arguments: the text is formatted when
+// Error is called, which solvers rejecting candidates never do.
 func (sys *System) ValidateSchedule(order []SAPRef) (*Witness, error) {
 	n := len(sys.SAPs)
 	if len(order) != n {

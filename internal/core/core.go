@@ -405,15 +405,17 @@ const (
 	// Parallel is the generate-and-validate worker pool (internal/parsolve).
 	Parallel
 	// CNF is the SAT encoding with a CDCL core (internal/cnfsolver),
-	// descending to the fewest preemptions it can prove.
+	// searching the bound to the fewest preemptions, which a refuted
+	// bound proves.
 	CNF
-	// Portfolio runs Sequential for a 20 ms head start, then CNF with the
-	// rest of the budget, descending from the bounds the head start
-	// refuted, then Sequential again if CNF failed before the deadline
-	// without an unsat proof, on the caller's goroutine (see
-	// portfolio.go). It records a per-attempt trail; a panic or injected
-	// fault in one step degrades to the next instead of killing the
-	// pipeline.
+	// Portfolio runs on the caller's goroutine (see portfolio.go). For an
+	// SC recording it runs Sequential for a 20 ms head start, then CNF
+	// with the rest of the budget, starting from the bounds the head
+	// start refuted, then Sequential again if CNF failed before the
+	// deadline without an unsat proof. For a TSO/PSO recording it starts
+	// at CNF and falls back to Sequential on the same terms. It records a
+	// per-attempt trail; a panic or injected fault in one step degrades
+	// to the next instead of killing the pipeline.
 	Portfolio
 )
 
@@ -689,7 +691,7 @@ func boundOf(stats *solver.Stats) int {
 }
 
 // refutedOf is how many leading preemption bounds the sequential search
-// refuted exhaustively (0 when it did not run): the CNF descent's floor.
+// refuted exhaustively (0 when it did not run): the CNF search's floor.
 func refutedOf(stats *solver.Stats) int {
 	if stats == nil {
 		return 0

@@ -19,8 +19,11 @@ import (
 // seed), the solved SAP schedule annotated with race-flip arrows, the
 // replay's event capture when Reproduce ran with CaptureReplay, and — when
 // the sequential solver lost or was interrupted with
-// SeqOptions.CapturePartial set — its deepest partial order. program is
-// the display name (benchmark or source file).
+// SeqOptions.CapturePartial set — its deepest partial order. The
+// portfolio runs the sequential solver on a TSO/PSO recording only after
+// a CNF failure other than an unsatisfiability proof or the deadline, so
+// a relaxed solve that ends in CNF has no such lane. program is the
+// display name (benchmark or source file).
 //
 // Every lane is optional except the recorded one: a timeline of a failed
 // solve still shows what was recorded and how far the search got.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,5 +108,49 @@ func TestScheduleDiffRequiresSolution(t *testing.T) {
 	noSol.Solution = nil
 	if _, err := noSol.ScheduleDiff(); err == nil {
 		t.Error("diff without a solution should error")
+	}
+}
+
+// TestBuildTimelineFailedRelaxedSolve pins what the timeline of a failed
+// portfolio solve shows on a TSO recording. The ladder starts there at
+// CNF, and the sequential search runs only after a CNF failure other
+// than an unsatisfiability proof or the shared deadline, so a solve cut
+// off in CNF has no sequential attempt and no partial-order lane, though
+// CapturePartial is set: the recorded lane alone.
+func TestBuildTimelineFailedRelaxedSolve(t *testing.T) {
+	prog, err := Compile(dekkerTSOSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Record(prog, RecordOptions{Model: vm.TSO, SeedLimit: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := Reproduce(rec, ReproduceOptions{
+		Solver:     Portfolio,
+		Ctx:        ctx,
+		SeqOptions: solver.Options{CapturePartial: true},
+	})
+	if err == nil {
+		t.Fatal("a cancelled portfolio solve succeeded")
+	}
+	if len(rep.Attempts) != 1 || rep.Attempts[0].Solver != "cnf" {
+		t.Fatalf("attempts = %+v, want one cnf attempt", rep.Attempts)
+	}
+	if rep.SeqStats != nil {
+		t.Fatal("sequential stats without a sequential attempt")
+	}
+	tl, err := rep.BuildTimeline("dekker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ex := range tl.Execs {
+		names = append(names, ex.Name)
+	}
+	if want := []string{timeline.ExecRecorded}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("failed-solve lanes = %v, want %v", names, want)
 	}
 }

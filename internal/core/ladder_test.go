@@ -3,13 +3,18 @@
 package core_test
 
 import (
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/constraints"
 	"repro/internal/core"
+	"repro/internal/faultinject"
+	"repro/internal/oracle"
+	"repro/internal/vm"
 )
 
 func prepare(t *testing.T, name string) *bench.Prepared {
@@ -33,23 +38,22 @@ func trail(attempts []core.SolverAttempt) string {
 	return strings.Join(parts, ", ")
 }
 
-// TestPortfolioLadderTrail pins the ladder's attempt trail: a system the
-// sequential search solves within its head start stops there, and one
-// that outlasts it (dekker's spin loops) goes to CNF. Either way the trail
-// ends at the attempt that solved. The head starts are pinned — sim_race's
-// far above its solve time, even under the race detector — so the trail
-// does not depend on the machine's speed.
+// TestPortfolioLadderTrail pins the ladder's attempt trail: an SC system
+// the sequential search solves within its head start stops there, and a
+// TSO/PSO one (dekker) starts at CNF. Either way the trail ends at the
+// attempt that solved. sim_race's head start is pinned far above its
+// solve time, even under the race detector, so the trail does not depend
+// on the machine's speed.
 func TestPortfolioLadderTrail(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		headStart time.Duration
-		want      string
+		name string
+		want string
 	}{
-		{"sim_race", time.Minute, "sequential solved"},
-		{"dekker", 20 * time.Millisecond, "sequential interrupted, cnf solved"},
+		{"sim_race", "sequential solved"},
+		{"dekker", "cnf solved"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer core.SetSeqHeadStart(tc.headStart)()
+			defer core.SetSeqHeadStart(time.Minute)()
 			rep, err := core.Reproduce(prepare(t, tc.name).Recording, core.ReproduceOptions{Solver: core.Portfolio})
 			if err != nil {
 				t.Fatal(err)
@@ -60,11 +64,81 @@ func TestPortfolioLadderTrail(t *testing.T) {
 			if got := trail(rep.Attempts); got != tc.want {
 				t.Fatalf("attempt trail: %s, want %s", got, tc.want)
 			}
-			if rep.SeqStats == nil {
+			if rep.Attempts[0].Solver == "sequential" && rep.SeqStats == nil {
 				t.Fatal("sequential stats missing from the report")
 			}
 		})
 	}
+}
+
+// TestPortfolioRelaxedFallsBackToSequential injects a CNF fault on a TSO
+// recording: the sequential search runs next, with what remains of the
+// deadline. The sequential search needs tens of seconds on dekker, so the
+// check is the trail's shape, not a solve.
+func TestPortfolioRelaxedFallsBackToSequential(t *testing.T) {
+	rec := prepare(t, "dekker").Recording
+	faultinject.Fail("solver.cnf")
+	defer faultinject.Reset()
+	rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Portfolio, Deadline: 300 * time.Millisecond})
+	if rep == nil {
+		t.Fatalf("no report: %v", err)
+	}
+	if len(rep.Attempts) != 2 || trail(rep.Attempts[:1]) != "cnf fault injected" || rep.Attempts[1].Solver != "sequential" {
+		t.Fatalf("attempt trail: %s, want cnf fault injected, then a sequential step (err %v)", trail(rep.Attempts), err)
+	}
+}
+
+// TestPortfolioRelaxedOracleMinimum runs the product path on the TSO/PSO
+// draws of oracle.Program from seeds 44–48, 24 trials each, shapes in
+// turn: the ladder starts at CNF, and its schedule must have the fewest
+// preemptions over every valid schedule of the recording's system.
+func TestPortfolioRelaxedOracleMinimum(t *testing.T) {
+	checked := 0
+	for seed := int64(44); seed <= 48; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 24; trial++ {
+			src, model := oracle.Program(r, oracle.Shapes[trial%len(oracle.Shapes)])
+			if model == vm.SC {
+				continue
+			}
+			prog, err := core.Compile(src)
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v\n%s", seed, trial, err, src)
+			}
+			rec, err := core.Record(prog, core.RecordOptions{Model: model, SeedLimit: 3000})
+			if err != nil {
+				continue // this variant never failed
+			}
+			sys, err := rec.Analyze()
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v\n%s", seed, trial, err, src)
+			}
+			sys.Preprocess()
+			want := -1
+			if !oracle.Enumerate(sys, 1<<20, func(_ []constraints.SAPRef, w *constraints.Witness) {
+				if want < 0 || w.Preemptions < want {
+					want = w.Preemptions
+				}
+			}) {
+				t.Fatalf("seed %d trial %d: the oracle walk did not finish", seed, trial)
+			}
+			rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Portfolio})
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v\n%s", seed, trial, err, src)
+			}
+			if got := trail(rep.Attempts); got != "cnf solved" {
+				t.Errorf("seed %d trial %d: attempt trail %s, want cnf solved", seed, trial, got)
+			}
+			if rep.Solution.Preemptions != want {
+				t.Errorf("seed %d trial %d: %d preemptions, the oracle minimum is %d\n%s", seed, trial, rep.Solution.Preemptions, want, src)
+			}
+			checked++
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d TSO/PSO draws failed and were checked", checked)
+	}
+	t.Logf("%d TSO/PSO draws at the oracle minimum", checked)
 }
 
 // TestPortfolioIgnoresCoreCount checks that the portfolio's answer does not

@@ -3,24 +3,28 @@
 // the CNF/CDCL encoding) with complementary strengths — §4 of the paper
 // compares them benchmark by benchmark. The portfolio combines the two
 // that cover every benchmark into a ladder that runs on the caller's
-// goroutine:
+// goroutine. The recording's memory model picks where it starts:
 //
-//  1. the sequential search, whose schedules have minimal preemptions
-//     (§4.2), runs for a head start of min(20 ms, a fifth of the
-//     remaining deadline) — long enough for the data-race systems it
-//     solves in milliseconds;
+//  1. under SC, the sequential search, whose schedules have minimal
+//     preemptions (§4.2), runs for a head start of min(20 ms, a fifth of
+//     the remaining deadline) — long enough for the data-race systems it
+//     solves in milliseconds. Under TSO/PSO there is no head start: the
+//     sequential search never solved a relaxed benchmark recording inside
+//     one;
 //  2. CNF, which solves the systems that defeat the sequential search (the
 //     mutual-exclusion spin loops) in milliseconds, gets the rest of the
-//     budget. It descends to the fewest preemptions it can prove
-//     (cnfsolver.Session.SolveMinimal), from the number of leading bounds
-//     the head start refuted exhaustively (solver.Stats.Refuted) — no
-//     schedule has fewer;
+//     budget. It searches for the fewest preemptions
+//     (cnfsolver.Session.SolveMinimal), walking the bound up from the
+//     number of leading bounds the head start refuted exhaustively
+//     (solver.Stats.Refuted) — no schedule has fewer — until one admits a
+//     schedule, which a refuted bound below proves minimal under every
+//     memory model;
 //  3. if CNF fails for a reason other than the shared deadline — its
 //     200-round value-theory budget ran out, or it panicked or had a fault
-//     injected — and the head start was cut short, the sequential search
-//     runs again with what remains. A CNF proof of unsatisfiability
-//     (cnfsolver.Unsat) ends the ladder instead: no schedule exists for
-//     the sequential search to find.
+//     injected — the sequential search runs with what remains: under SC
+//     only when the head start was cut short, under TSO/PSO always. A CNF
+//     proof of unsatisfiability (cnfsolver.Unsat) ends the ladder instead:
+//     no schedule exists for the sequential search to find.
 //
 // The answer therefore does not depend on the number of cores. A step
 // that is interrupted, finds nothing, errors, or panics is recorded in the
@@ -42,6 +46,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parsolve"
 	"repro/internal/solver"
+	"repro/internal/vm"
 )
 
 // Default per-step budgets when the caller supplies no deadline: each
@@ -164,9 +169,10 @@ func seqStage(rep *Reproduction, sys *constraints.System, o solver.Options, sp *
 }
 
 // cnfStage runs the CNF solver as one attempt, keeping its statistics in
-// rep. The session descends to the fewest preemptions it can prove, down
-// to lower, a bound below which the caller knows no schedule exists. The
-// attempt's bound is the last one the descent assumed.
+// rep. The session searches the preemption bound up from lower, a bound
+// below which the caller knows no schedule exists, to the fewest
+// preemptions it can prove. The attempt's bound is the last one the
+// search assumed.
 func cnfStage(rep *Reproduction, sys *constraints.System, o cnfsolver.Options, lower int, sp *obs.Span) (*solver.Solution, SolverAttempt) {
 	reg := rep.Trace.Reg()
 	wireProgress(reg, nil, nil, &o)
@@ -264,39 +270,49 @@ func headStart(deadline time.Time) time.Duration {
 // per-step statistics (SeqStats, CNFStats) land in rep even when the step
 // that produced them did not solve.
 func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, []SolverAttempt, error) {
-	seqOpts := seqOptions(opts, deadline)
-	capBudget(&seqOpts.Deadline, headStart(deadline))
-	sol, att := seqStage(rep, sys, seqOpts, sp)
-	trail := []SolverAttempt{att}
-	if sol != nil {
-		return sol, trail, nil
+	var trail []SolverAttempt
+	// fallback says whether the sequential search runs after a CNF
+	// failure: under TSO/PSO always, under SC only when the head start
+	// ran out of its budget.
+	fallback, lower := true, 0
+	if sys.Model == vm.SC {
+		seqOpts := seqOptions(opts, deadline)
+		capBudget(&seqOpts.Deadline, headStart(deadline))
+		sol, att := seqStage(rep, sys, seqOpts, sp)
+		trail = append(trail, att)
+		if sol != nil {
+			return sol, trail, nil
+		}
+		if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
+			return nil, trail, err
+		}
+		fallback, lower = att.Outcome == "interrupted", refutedOf(rep.SeqStats)
 	}
-	if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
-		return nil, trail, err
-	}
-	resume := att.Outcome == "interrupted"
+	// A resumed sequential step supersedes the head start it resumed.
+	superseded := len(trail)
 
 	cnfOpts := cnfOptions(opts, deadline)
 	if deadline.IsZero() {
 		capBudget(&cnfOpts.Deadline, defaultCNFBudget)
 	}
-	sol, att = cnfStage(rep, sys, cnfOpts, refutedOf(rep.SeqStats), sp)
+	sol, att := cnfStage(rep, sys, cnfOpts, lower, sp)
 	trail = append(trail, att)
 	if sol != nil {
 		return sol, trail, nil
 	}
 	// CNF's encoding is complete, so its Unsat proves that no schedule
-	// exists: resuming the sequential search could only burn the budget.
+	// exists: a sequential step could only burn the budget.
 	var unsat *cnfsolver.Unsat
 	if errors.As(att.err, &unsat) {
-		return nil, trail, fmt.Errorf("core: portfolio: no schedule exists (%s): %w", trailSummary(trail[:1]), unsat)
+		return nil, trail, fmt.Errorf("core: portfolio: no schedule exists (%s): %w", trailSummary(trail), unsat)
 	}
 	if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
 		return nil, trail, err
 	}
 
-	if resume {
-		seqOpts = seqOptions(opts, deadline)
+	final := trail
+	if fallback {
+		seqOpts := seqOptions(opts, deadline)
 		if deadline.IsZero() {
 			capBudget(&seqOpts.Deadline, defaultSeqBudget)
 		}
@@ -308,15 +324,11 @@ func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOpti
 		if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
 			return nil, trail, err
 		}
+		final = trail[superseded:]
 	}
 	// No shared budget expired, but a step may have exhausted its own:
 	// surface that interrupt typed so "ran out of time" is not mistaken
-	// for a proof that no schedule exists. A resumed sequential step
-	// supersedes the head start it resumed.
-	final := trail
-	if resume {
-		final = trail[1:]
-	}
+	// for a proof that no schedule exists.
 	for _, a := range final {
 		var intr *solver.Interrupted
 		if a.err != nil && errors.As(a.err, &intr) {

@@ -81,17 +81,17 @@ func EncodeProm(s RegSnapshot) []byte {
 // Metric names stay in their sanitized underscore form — the dotted
 // originals are not recoverable — so decode→encode round-trips
 // byte-identically while a decoded snapshot is keyed differently from the
-// registry that produced it. `clap top` polls a daemon through this.
+// registry that produced it. `clap top` polls a daemon through this, so
+// it rejects what EncodeProm never writes and a decoded snapshot could not
+// mean: a family name PromName would change or declared twice, and a
+// histogram whose le labels are not HistBounds in order with +Inf last or
+// whose cumulative counts fall. It does not hold _count to the +Inf
+// bucket: a snapshot taken during a concurrent Observe may differ there.
 func DecodeProm(data []byte) (RegSnapshot, error) {
 	s := RegSnapshot{
 		Counters: map[string]int64{},
 		Gauges:   map[string]int64{},
 		Hists:    map[string]HistSnapshot{},
-	}
-	type histAcc struct {
-		cum   []int64
-		sum   int64
-		count int64
 	}
 	hists := map[string]*histAcc{}
 	histAt := func(name string) *histAcc {
@@ -109,6 +109,12 @@ func DecodeProm(data []byte) (RegSnapshot, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+				if PromName(f[2]) != f[2] {
+					return s, fmt.Errorf("obs: prom family name %q is not sanitized", f[2])
+				}
+				if _, dup := kinds[f[2]]; dup {
+					return s, fmt.Errorf("obs: prom family %s declared twice", f[2])
+				}
 				kinds[f[2]] = f[3]
 			}
 			continue
@@ -137,7 +143,9 @@ func DecodeProm(data []byte) (RegSnapshot, error) {
 			s.Gauges[name] = val
 		default:
 			if b, ok := base("_bucket"); ok {
-				histAt(b).cum = append(histAt(b).cum, val)
+				if err := histAt(b).bucket(ref[len(name):], val); err != nil {
+					return s, fmt.Errorf("obs: histogram %s: %v", b, err)
+				}
 			} else if b, ok := base("_sum"); ok {
 				histAt(b).sum = val
 			} else if b, ok := base("_count"); ok {
@@ -160,4 +168,37 @@ func DecodeProm(data []byte) (RegSnapshot, error) {
 		s.Hists[name] = hs
 	}
 	return s, nil
+}
+
+// histAcc accumulates one histogram family's samples.
+type histAcc struct {
+	cum   []int64
+	sum   int64
+	count int64
+}
+
+// bucket appends the next cumulative bucket sample: its labels must be
+// le="<the next bound of HistBounds>", le="+Inf" last, and its count must
+// not fall below the previous bucket's (or below zero).
+func (h *histAcc) bucket(labels string, val int64) error {
+	i := len(h.cum)
+	if i > histBuckets {
+		return fmt.Errorf("more than %d buckets", histBuckets+1)
+	}
+	le := "+Inf"
+	if i < histBuckets {
+		le = strconv.FormatInt(HistBounds()[i], 10)
+	}
+	if want := `{le="` + le + `"}`; labels != want {
+		return fmt.Errorf("bucket %d has labels %q, want %s", i, labels, want)
+	}
+	prev := int64(0)
+	if i > 0 {
+		prev = h.cum[i-1]
+	}
+	if val < prev {
+		return fmt.Errorf("cumulative count falls from %d to %d at le=%q", prev, val, le)
+	}
+	h.cum = append(h.cum, val)
+	return nil
 }

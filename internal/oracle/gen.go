@@ -132,21 +132,47 @@ func symbolicIndex(r *rand.Rand) string {
 
 // storeBuffer is the Dekker entry protocol without fences: each thread
 // raises its flag and, if the other's is still down, increments bad. Main
-// asserts that at most one thread's increments landed.
+// asserts that at most one thread's increments landed. One 31-bit draw
+// picks the model from its low bit, as r.Intn(2) would, and the variant
+// from the rest: each thread may store to its own global g<t> before its
+// flag, so that store is still buffered at the check, or after the check;
+// and either thread 0 reloads its flag, which drains it, or thread 1
+// fences after its flag. Never both: the VM forwards a buffered store to
+// its own thread's reload without draining it, which the encoding's
+// same-address W→R edge does not allow, so that draw can fail in the VM
+// with no valid schedule.
 func storeBuffer(r *rand.Rand) (string, vm.MemModel) {
+	v := r.Int31()
 	model := vm.TSO
-	if r.Intn(2) == 0 {
+	if v&1 == 0 {
 		model = vm.PSO
 	}
 	const incs = 1
 	var sb strings.Builder
-	sb.WriteString("int flag0;\nint flag1;\nint bad;\n")
+	sb.WriteString("int flag0;\nint flag1;\nint bad;\nint g0;\nint g1;\n")
 	for t := 0; t < 2; t++ {
-		fmt.Fprintf(&sb, "func t%d() {\n\tflag%d = 1;\n\tif (flag%d == 0) {\n", t, t, 1-t)
+		extra := v >> (1 + 2*t) & 3 // 1: store g<t> first, 2: store it last
+		fmt.Fprintf(&sb, "func t%d() {\n", t)
+		if extra == 1 {
+			fmt.Fprintf(&sb, "\tg%d = %d;\n", t, t+1)
+		}
+		fmt.Fprintf(&sb, "\tflag%d = 1;\n", t)
+		if v>>5&1 == 1 && int(v>>6&1) == t {
+			if t == 0 {
+				sb.WriteString("\tint mine = flag0;\n")
+			} else {
+				sb.WriteString("\tfence();\n")
+			}
+		}
+		fmt.Fprintf(&sb, "\tif (flag%d == 0) {\n", 1-t)
 		for i := 0; i < incs; i++ {
 			sb.WriteString("\t\tbad = bad + 1;\n")
 		}
-		sb.WriteString("\t}\n}\n")
+		sb.WriteString("\t}\n")
+		if extra == 2 {
+			fmt.Fprintf(&sb, "\tg%d = %d;\n", t, t+1)
+		}
+		sb.WriteString("}\n")
 	}
 	fmt.Fprintf(&sb, `func main() {
 	int h0 = spawn t0();
