@@ -7,6 +7,7 @@ FUZZ_TARGETS := ./internal/trace:FuzzDecodePathLog \
 	./internal/trace:FuzzDecodeAccessVectorLog \
 	./internal/trace:FuzzDecodeSyncOrderLog \
 	./internal/clapd:FuzzDecodeBundle \
+	./internal/clapd:FuzzReplayJournal \
 	./internal/ir:FuzzCompileSource \
 	./internal/sat:FuzzTheoryHook \
 	./internal/obs:FuzzDecodeProm

@@ -788,8 +788,9 @@ func reproduceSource(src string, f flags) error {
 		fmt.Printf("  parallel solver: generated %d, valid %d, bound %d, %.3fs\n",
 			rep.Parallel.Generated, rep.Parallel.Valid, rep.Parallel.Bound, rep.Parallel.Elapsed.Seconds())
 	case rep.CNFStats != nil && kind == core.CNF:
-		fmt.Printf("  cnf solver: %d bool vars, %d clauses, %d theory rounds\n",
-			rep.CNFStats.BoolVars, rep.CNFStats.Clauses, rep.CNFStats.TheoryRounds)
+		st := rep.CNFStats
+		fmt.Printf("  cnf solver: %d bool vars, %d clauses; %d order rejections, %d address splits, %d value checks, %d descents\n",
+			st.BoolVars, st.Clauses, st.LazyRounds, st.AddrRounds, st.TheoryRounds, st.Descents)
 	}
 
 	sol := rep.Solution

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -205,6 +206,24 @@ func TestExitCodes(t *testing.T) {
 		if code, out := exitCode(t, args...); code != 1 {
 			t.Errorf("clap %v: exit %d, want 1 (failure)\n%s", args, code, out)
 		}
+	}
+}
+
+// TestReproduceCNFPrintsRefinementSplit pins the CNF summary line of
+// `clap reproduce -solver cnf`: besides the encoding's size it splits the
+// refinement work into order rejections, address splits, value checks and
+// descents.
+func TestReproduceCNFPrintsRefinementSplit(t *testing.T) {
+	racy := filepath.Join(t.TempDir(), "racy.mc")
+	if err := os.WriteFile(racy, []byte(racyProg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := exitCode(t, "reproduce", racy, "-solver", "cnf")
+	if code != 0 {
+		t.Fatalf("reproduce exit %d:\n%s", code, out)
+	}
+	if !regexp.MustCompile(`cnf solver: \d+ bool vars, \d+ clauses; \d+ order rejections, \d+ address splits, \d+ value checks, \d+ descents`).MatchString(out) {
+		t.Fatalf("no refinement split in the CNF summary:\n%s", out)
 	}
 }
 

@@ -21,7 +21,6 @@
 package clapd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -107,16 +106,11 @@ func OpenJournal(dir string) (*Journal, []Entry, *JournalRecovery, error) {
 	}
 	// Compact: one line per digest, preserving sequence numbers, written
 	// atomically so a crash mid-compaction keeps the old WAL intact.
-	var buf bytes.Buffer
-	for _, e := range entries {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+	compacted, err := compactJournal(entries)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if err := atomicWrite(dir, journalName, buf.Bytes()); err != nil {
+	if err := atomicWrite(dir, journalName, compacted); err != nil {
 		return nil, nil, nil, fmt.Errorf("clapd: journal compaction: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -124,6 +118,20 @@ func OpenJournal(dir string) (*Journal, []Entry, *JournalRecovery, error) {
 		return nil, nil, nil, err
 	}
 	return &Journal{path: path, f: f, seq: maxSeq}, entries, rec, nil
+}
+
+// compactJournal encodes entries as a journal, one line each.
+func compactJournal(entries []Entry) ([]byte, error) {
+	var buf bytes.Buffer
+	for _, e := range entries {
+		line, err := json.Marshal(e)
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes(), nil
 }
 
 // ReadJournal replays a journal without opening it for writing — the
@@ -150,12 +158,13 @@ func replayJournal(path string) ([]Entry, uint64, *JournalRecovery, error) {
 	}
 	latest := map[string]Entry{}
 	var maxSeq uint64
-	off := 0
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := len(line) + 1 // scanner strips the newline
+	for off := 0; off < len(data); {
+		// A line without a trailing newline is a torn append: the entry
+		// may be a prefix of a longer record that happens to parse.
+		line, torn := data[off:], true
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line, torn = line[:nl], false
+		}
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			rec.DroppedBytes = len(data) - off
@@ -167,9 +176,7 @@ func replayJournal(path string) ([]Entry, uint64, *JournalRecovery, error) {
 			rec.DroppedReason = fmt.Sprintf("invalid entry at byte %d (state %q)", off, e.State)
 			break
 		}
-		// A line without a trailing newline is a torn append: the entry
-		// may be a prefix of a longer record that happens to parse.
-		if off+len(line) == len(data) {
+		if torn {
 			rec.DroppedBytes = len(data) - off
 			rec.DroppedReason = fmt.Sprintf("torn final line at byte %d (no newline)", off)
 			break
@@ -181,17 +188,19 @@ func replayJournal(path string) ([]Entry, uint64, *JournalRecovery, error) {
 		if e.Seq > maxSeq {
 			maxSeq = e.Seq
 		}
-		off += lineLen
-	}
-	if err := sc.Err(); err != nil && rec.DroppedReason == "" {
-		rec.DroppedBytes = len(data) - off
-		rec.DroppedReason = fmt.Sprintf("scan stopped at byte %d: %v", off, err)
+		off += len(line) + 1
 	}
 	out := make([]Entry, 0, len(latest))
 	for _, e := range latest {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	// Digests break sequence ties, so the order never depends on the map's.
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Seq != out[j].Seq {
+			return out[i].Seq < out[j].Seq
+		}
+		return out[i].Digest < out[j].Digest
+	})
 	return out, maxSeq, rec, nil
 }
 

@@ -17,6 +17,10 @@
 // disjunction of the negated edge literals along it — and when the
 // relation is acyclic a linearization that switches threads only where
 // the assignment forces it (linearize.go) is the candidate total order.
+// The transitivity the hard edges (program order, fork/join) decide is
+// not left to the cycle check: a pair they order is a constant, and each
+// variable is linked by binary clauses to its neighbours along the hard
+// order, so unit propagation closes those cycles (closure.go).
 //
 // Session.SolveMinimal adds the paper's minimal-preemption goal (§4.2):
 // preemption charges that count what constraints.CountSwitches counts —
@@ -40,6 +44,7 @@ package cnfsolver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -61,6 +66,10 @@ const (
 	maxLazyRounds = 5000 // transitivity (cycle-lemma) rounds
 	maxAddrRounds = 5000 // address-split rounds
 )
+
+// ErrTheoryBudget is the error a DPLL(T) entry ends with when its value
+// checks reach Options.MaxTheoryRounds without a schedule.
+var ErrTheoryBudget = errors.New("cnfsolver: theory refinement did not converge")
 
 // Options tunes the CNF backend.
 type Options struct {
@@ -280,6 +289,8 @@ func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution
 		return sat.Unknown
 	}
 	e.s.Theory = func() sat.Status {
+		e.inHook = true
+		defer func() { e.inHook = false }()
 		if opts.Progress != nil {
 			sess.refresh()
 			opts.Progress(*st)
@@ -346,7 +357,7 @@ func (sess *Session) solve(interrupted func() bool, bound int) (*solver.Solution
 		e.block(verr)
 		st.MappingBlocks++
 		if values >= opts.MaxTheoryRounds {
-			return fail(fmt.Errorf("cnfsolver: theory refinement did not converge in %d rounds", opts.MaxTheoryRounds))
+			return fail(fmt.Errorf("%w in %d rounds", ErrTheoryBudget, opts.MaxTheoryRounds))
 		}
 		return sat.Unsat
 	}
@@ -530,6 +541,16 @@ type encoder struct {
 	// d is the preemption encoding, built by the first descent step of
 	// SolveMinimal (nil before).
 	d *descent
+	// Hard-order closure (closure.go): the reachability of the hard edges
+	// (nil without any), the variable that always holds, each SAP's
+	// partners in order variables that are not hard edges, and link
+	// scratch.
+	hard     *hardOrder
+	one      int
+	partners [][]int32
+	lo, hi   []int32
+	// inHook is set while the theory hook runs, when add queues lemmas.
+	inHook bool
 	// Refinement scratch: per-SAP resolved addresses (address split) and
 	// per-SAP schedule positions (positions), reused across rounds.
 	addrBuf []addrInfo
@@ -540,7 +561,9 @@ type encoder struct {
 // b (a<b).
 type pair struct{ a, b, v int32 }
 
-// lit returns the literal for "a before b".
+// lit returns the literal for "a before b": a constant when the hard
+// edges order the pair, else the pair's variable, allocated and linked
+// along the hard order on first use (closure.go).
 func (e *encoder) lit(a, b int) sat.Lit {
 	if a == b {
 		panic("cnfsolver: reflexive order literal")
@@ -553,14 +576,28 @@ func (e *encoder) lit(a, b int) sat.Lit {
 	key := [2]int32{int32(a), int32(b)}
 	v, ok := e.pairVar[key]
 	if !ok {
+		if h := e.hard; h != nil && (h.before(a, b) || h.before(b, a)) {
+			return sat.MkLit(e.one, h.before(a, b) == neg)
+		}
 		v = int32(e.s.NewVar())
 		e.pairVar[key] = v
 		e.pairs = append(e.pairs, pair{a: key[0], b: key[1], v: v})
+		if e.hard != nil {
+			e.link(a, b)
+			e.link(b, a)
+		}
 	}
 	return sat.MkLit(int(v), neg)
 }
 
+// add adds a clause that holds in every schedule: straight into the
+// problem between SAT calls, queued with AddLemma while the theory hook
+// runs, so that a scan reads the model throughout.
 func (e *encoder) add(lits ...sat.Lit) {
+	if e.inHook {
+		e.lemma(lits...)
+		return
+	}
 	e.clauses++
 	e.s.AddClause(lits...)
 }
@@ -571,9 +608,15 @@ func (e *encoder) encode() {
 	for i := range e.sys.Reads {
 		e.readIdx[e.sys.SAP(e.sys.Reads[i].Read).Sym.ID] = i
 	}
-	// Hard edges (Fmo, fork/join) are unit clauses.
+	// Hard edges (Fmo, fork/join) are unit clauses. Every other pair they
+	// order is a constant (closure.go).
 	for _, edge := range e.sys.HardEdges {
 		e.add(e.lit(int(edge[0]), int(edge[1])))
+	}
+	if e.hard = newHardOrder(e.sys); e.hard != nil {
+		e.one = e.s.NewVar()
+		e.add(sat.MkLit(e.one, false))
+		e.partners = make([][]int32, e.n)
 	}
 	// Frw: read→write mapping choice variables. Free reads (outside the
 	// cone of influence, see constraints.Preprocess) get no choice

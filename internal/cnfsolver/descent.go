@@ -136,38 +136,59 @@ type glue struct {
 // memory model. With them the search may stop above the minimum; every
 // schedule it returns is validated either way.
 //
-// Only the first solve's failure is an error. An interrupt or an
-// exhausted theory budget during the search ends it with the first
-// schedule: no bound below the minimum yields one, so a search cut short
-// improves nothing. An Unsat under a bound assumption says nothing about
-// the system, so it never surfaces as *Unsat.
+// When the first solve runs out of value checks (ErrTheoryBudget), the
+// bound walks up from lower all the same, each entry with a fresh budget:
+// the bounded entries see fewer mappings and keep the first one's lemmas.
+// Past the last charge the entry is unbounded, and its Unsat is the
+// system's. Otherwise only the first solve's failure is an error. An
+// interrupt or an exhausted theory budget during the search ends it with
+// the first schedule: no bound below the minimum yields one, so a search
+// cut short improves nothing. An Unsat under a bound assumption says
+// nothing about the system, so it never surfaces as *Unsat.
 func (sess *Session) SolveMinimal(lower int) (*solver.Solution, *Stats, error) {
 	st := &sess.st
 	st.Solves++
 	interrupted := sess.arm()
 	best, err := sess.solve(interrupted, -1)
-	e := sess.e
-	if err == nil && best.Preemptions > lower {
-		if e.d == nil {
-			e.buildDescent()
-		}
-		for k := lower; k < min(best.Preemptions, len(e.d.charges)); k++ {
-			e.widen(k + 1)
-			st.Descents++
-			st.DescentBound = k
-			sol, err := sess.solve(interrupted, k)
-			var unsat *Unsat
-			if errors.As(err, &unsat) {
-				continue
-			}
-			if err == nil && sol.Preemptions < best.Preemptions {
-				best = sol
-			}
-			break
+	switch {
+	case errors.Is(err, ErrTheoryBudget):
+		best, err = sess.walk(interrupted, lower, -1)
+	case err == nil && best.Preemptions > lower:
+		if sol, _ := sess.walk(interrupted, lower, best.Preemptions); sol != nil && sol.Preemptions < best.Preemptions {
+			best = sol
 		}
 	}
 	sess.refresh()
 	return best, st, err
+}
+
+// walk re-solves under the bounds lower, lower+1, … below top and returns
+// the first bound's answer that is not Unsat. With top negative it goes
+// on to the last charge and then solves unbounded.
+func (sess *Session) walk(interrupted func() bool, lower, top int) (*solver.Solution, error) {
+	e := sess.e
+	if e.d == nil {
+		e.buildDescent()
+	}
+	st := &sess.st
+	end := len(e.d.charges)
+	if top >= 0 {
+		end = min(top, end)
+	}
+	for k := lower; k < end; k++ {
+		e.widen(k + 1)
+		st.Descents++
+		st.DescentBound = k
+		sol, err := sess.solve(interrupted, k)
+		var unsat *Unsat
+		if !errors.As(err, &unsat) {
+			return sol, err
+		}
+	}
+	if top >= 0 {
+		return nil, nil
+	}
+	return sess.solve(interrupted, -1)
 }
 
 // buildDescent encodes the gaps, the drains' glue literals and their
@@ -255,19 +276,16 @@ func (e *encoder) threadChains() *descent {
 		exec: make([][]int32, nt), writes: make([][]int32, nt),
 		prevExec: make([]int32, e.n), lastExec: make([]int32, nt),
 	}
-	buffered := func(r constraints.SAPRef) bool {
-		return sys.Model != vm.SC && sys.SAPs[r].Kind == symexec.SAPWrite
-	}
 	// succ[w] lists a buffered write's hard successors in its own thread.
 	succ := make([][]constraints.SAPRef, e.n)
 	for _, edge := range sys.HardEdges {
-		if a, b := edge[0], edge[1]; buffered(a) && sys.SAPs[a].Thread == sys.SAPs[b].Thread {
+		if a, b := edge[0], edge[1]; buffered(sys, a) && sys.SAPs[a].Thread == sys.SAPs[b].Thread {
 			succ[a] = append(succ[a], b)
 		}
 	}
 	for t, refs := range sys.Threads {
 		for _, r := range refs {
-			if buffered(r) {
+			if buffered(sys, r) {
 				d.chain[r] = -1
 				d.issue[r] = int32(len(d.exec[t]) - 1)
 				d.writes[t] = append(d.writes[t], int32(r))

@@ -157,6 +157,52 @@ func TestDescentConvergesOnAget(t *testing.T) {
 	t.Logf("at most %d value checks in one SolveMinimal", most)
 }
 
+// TestSolveMinimalWalksPastTheoryBudget forces the first DPLL(T) entry on
+// two dekker recordings over small value budgets. For each budget the
+// first entry runs out of, with ErrTheoryBudget and the budget's message,
+// SolveMinimal must walk the bound up from 0 with a fresh budget per entry
+// and return a validated schedule at the minimum a generous budget
+// proves, unless a bounded entry runs out too. At least one walk must
+// succeed.
+func TestSolveMinimalWalksPastTheoryBudget(t *testing.T) {
+	walked := 0
+	for base := int64(0); base < 2; base++ {
+		sys := recordBench(t, "dekker", base<<20)
+		ref, _, err := cnfsolver.NewSession(sys, cnfsolver.Options{MaxTheoryRounds: 1 << 20}).SolveMinimal(0)
+		if err != nil {
+			t.Fatalf("base %d<<20: reference SolveMinimal: %v", base, err)
+		}
+		for budget := 1; budget <= 16; budget++ {
+			opts := cnfsolver.Options{MaxTheoryRounds: budget, Deadline: 60 * time.Second}
+			_, _, err := cnfsolver.NewSession(sys, opts).Solve()
+			if !errors.Is(err, cnfsolver.ErrTheoryBudget) {
+				continue
+			}
+			if want := fmt.Sprintf("cnfsolver: theory refinement did not converge in %d rounds", budget); err.Error() != want {
+				t.Errorf("budget %d: error %q, want %q", budget, err, want)
+			}
+			sol, st, err := cnfsolver.NewSession(sys, opts).SolveMinimal(0)
+			if errors.Is(err, cnfsolver.ErrTheoryBudget) {
+				continue // a bounded entry ran out as well
+			}
+			if err != nil {
+				t.Fatalf("base %d<<20, budget %d: SolveMinimal: %v", base, budget, err)
+			}
+			if _, err := sys.ValidateSchedule(sol.Order); err != nil {
+				t.Fatalf("base %d<<20, budget %d: schedule does not validate: %v", base, budget, err)
+			}
+			if sol.Preemptions != ref.Preemptions || st.Descents == 0 {
+				t.Errorf("base %d<<20, budget %d: %d preemptions after %d bounded entries, the minimum is %d", base, budget, sol.Preemptions, st.Descents, ref.Preemptions)
+			}
+			walked++
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no budget both stopped the first entry and let the walk converge")
+	}
+	t.Logf("%d walks reached the minimum", walked)
+}
+
 // TestSolveMinimalDeadlineAndProgress runs racey's descent under short
 // deadlines: it must return within 100 ms of each, with a validated
 // schedule or *solver.Interrupted, and, with every theory check inside
@@ -417,20 +463,18 @@ func chargesExact(t *testing.T, name string, sys *constraints.System, want int) 
 	return true
 }
 
-// TestDescentMatchesOracleMinimum checks both minimal-preemption searches
-// against the fewest preemptions over every valid schedule, on the
-// hand-written systems, on random SC programs of every shape and on the
-// TSO/PSO draws of relaxedDraws. Without condition variables
-// SolveMinimal(0) must reach that minimum under every memory model, and
-// the charges must be exact there (chargesExact). The
-// sequential search is exact on every model, so whenever it returns a
-// schedule it must sit at the minimum.
-func TestDescentMatchesOracleMinimum(t *testing.T) {
-	type named struct {
-		name string
-		sys  *constraints.System
-	}
-	var systems []named
+// namedSystem is one system of the oracle tests, with a name for failures.
+type namedSystem struct {
+	name string
+	sys  *constraints.System
+}
+
+// oracleSystems collects the systems the oracle minimum is checked on: the
+// hand-written ones, random SC programs of every shape from seed 44 and
+// the TSO/PSO draws of relaxedDraws, each preprocessed.
+func oracleSystems(t *testing.T) []namedSystem {
+	t.Helper()
+	var systems []namedSystem
 	for _, tc := range []struct {
 		name  string
 		src   string
@@ -446,7 +490,7 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 	} {
 		_, sys := buildSystem(t, tc.src, tc.model, 3000)
 		sys.Preprocess()
-		systems = append(systems, named{tc.name, sys})
+		systems = append(systems, namedSystem{tc.name, sys})
 	}
 	r := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 12; trial++ {
@@ -468,13 +512,23 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
 		sys.Preprocess()
-		systems = append(systems, named{fmt.Sprintf("%s trial %d", shape, trial), sys})
+		systems = append(systems, namedSystem{fmt.Sprintf("%s trial %d", shape, trial), sys})
 	}
 	names, relaxedSystems := relaxedDraws(t)
 	for i, sys := range relaxedSystems {
-		systems = append(systems, named{names[i], sys})
+		systems = append(systems, namedSystem{names[i], sys})
 	}
+	return systems
+}
 
+// TestDescentMatchesOracleMinimum checks both minimal-preemption searches
+// against the fewest preemptions over every valid schedule, on the
+// systems of oracleSystems. Without condition variables SolveMinimal(0)
+// must reach that minimum under every memory model, and the charges must
+// be exact there (chargesExact). The sequential search is exact on every
+// model, so whenever it returns a schedule it must sit at the minimum.
+func TestDescentMatchesOracleMinimum(t *testing.T) {
+	systems := oracleSystems(t)
 	exact, relaxed, sequential := 0, 0, 0
 	for _, c := range systems {
 		want := walkOracle(t, c.sys).minPreemptions

@@ -1,6 +1,9 @@
 package cnfsolver
 
-import "repro/internal/solver"
+import (
+	"repro/internal/constraints"
+	"repro/internal/solver"
+)
 
 // SolveBound runs one DPLL(T) entry under the assumption that at most k
 // preemption charges hold: the step SolveMinimal's search takes at bound
@@ -14,4 +17,20 @@ func (sess *Session) SolveBound(k int) (*solver.Solution, error) {
 		k = -1 // no more than k charges exist
 	}
 	return sess.solve(sess.arm(), k)
+}
+
+// OrderPairs lists the SAP pairs the session has order variables for, in
+// allocation order, each with the lower index first.
+func (sess *Session) OrderPairs() [][2]constraints.SAPRef {
+	out := make([][2]constraints.SAPRef, len(sess.e.pairs))
+	for i, p := range sess.e.pairs {
+		out[i] = [2]constraints.SAPRef{constraints.SAPRef(p.a), constraints.SAPRef(p.b)}
+	}
+	return out
+}
+
+// HardBefore reports whether the session's hard-order closure puts SAP a
+// before SAP b.
+func (sess *Session) HardBefore(a, b constraints.SAPRef) bool {
+	return sess.e.hard != nil && a != b && sess.e.hard.before(int(a), int(b))
 }
