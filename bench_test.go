@@ -8,6 +8,8 @@
 //   - BenchmarkTable2/* times one recorded execution under the three
 //     recording settings (native, LEAP, CLAP) and reports the log sizes —
 //     Table 2's overhead and space columns.
+//   - BenchmarkHunt/* times the record phase's bug hunt (core.Record) per
+//     evaluation program and reports the seeds it tried.
 //   - BenchmarkTable3/* times parallel generate-and-validate solving vs
 //     the sequential solver — Table 3.
 //   - BenchmarkAblation/* check the design claims DESIGN.md calls out:
@@ -21,13 +23,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ballarus"
 	"repro/internal/bench"
 	"repro/internal/constraints"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/parsolve"
 	"repro/internal/schedule"
 	"repro/internal/solver"
 	"repro/internal/symexec"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -120,6 +125,11 @@ func BenchmarkTable2(b *testing.B) {
 		if inputs == nil {
 			inputs = bm.Inputs
 		}
+		// The Ball–Larus numbering is per program, not per run.
+		paths, err := ballarus.ProgramPaths(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
 		run := func(b *testing.B, withLeap, withClap bool) {
 			var logBytes int
 			for i := 0; i < b.N; i++ {
@@ -127,10 +137,7 @@ func BenchmarkTable2(b *testing.B) {
 				var clapRec *vm.PathRecorder
 				var leapRec *vm.LeapRecorder
 				if withClap {
-					clapRec, err = vm.NewPathRecorder(prog)
-					if err != nil {
-						b.Fatal(err)
-					}
+					clapRec = &vm.PathRecorder{Paths: paths, Log: &trace.PathLog{}}
 					conf.PathRecorder = clapRec
 				}
 				if withLeap {
@@ -158,6 +165,31 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(name+"/native", func(b *testing.B) { run(b, false, false) })
 		b.Run(name+"/leap", func(b *testing.B) { run(b, true, false) })
 		b.Run(name+"/clap", func(b *testing.B) { run(b, false, true) })
+	}
+}
+
+// BenchmarkHunt times core.Record's bug hunt on every evaluation program
+// from a fixed hunt base with the program's own seed budget: the record
+// phase a `clap bundle` upload and every e2ebench input start from.
+func BenchmarkHunt(b *testing.B) {
+	for _, bm := range bench.All() {
+		prog, err := core.Compile(bm.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bm.Name, func(b *testing.B) {
+			var seeds int64
+			for i := 0; i < b.N; i++ {
+				tr := obs.NewTrace("hunt")
+				if _, err := core.Record(prog, core.RecordOptions{
+					Model: bm.Model, Inputs: bm.Inputs, Seed: 1 << 20, SeedLimit: bm.SeedLimit, Obs: tr,
+				}); err != nil {
+					b.Fatal(err)
+				}
+				seeds = tr.Reg().Get("record.seeds")
+			}
+			b.ReportMetric(float64(seeds), "seeds/op")
+		})
 	}
 }
 

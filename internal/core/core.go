@@ -197,9 +197,7 @@ func Record(prog *ir.Program, opts RecordOptions) (*Recording, error) {
 	}
 	const perLevel = 3
 	var best *Recording
-	// The static analyses are per-program: hoist them out of the seed loop.
-	static := staticanalysis.Analyze(prog)
-	paths, err := ballarus.ProgramPaths(prog)
+	h, err := newHunter(prog, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +230,7 @@ hunt:
 				break hunt
 			}
 			ls.Seeds++
-			rec, err := recordSeed(prog, s, attempt, static, paths)
+			rec, err := h.record(s, attempt)
 			if err != nil {
 				if errors.Is(err, vm.ErrActionBudget) {
 					ls.Livelocked++
@@ -292,12 +290,38 @@ func huntInterrupted(ctx context.Context, deadline time.Time) bool {
 
 // RecordSeed runs exactly one recording attempt with the given seed.
 func RecordSeed(prog *ir.Program, seed int64, opts RecordOptions) (*Recording, error) {
-	static := staticanalysis.Analyze(prog)
+	h, err := newHunter(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	return h.record(seed, opts)
+}
+
+// hunter is what every attempt of one bug hunt shares: the per-program
+// analyses, the demoted globals, and one scheduler re-seeded per attempt.
+type hunter struct {
+	prog    *ir.Program
+	static  *staticanalysis.Result
+	paths   []*ballarus.FuncPaths
+	demoted []bool
+	sched   *vm.RandomScheduler
+}
+
+func newHunter(prog *ir.Program, opts RecordOptions) (*hunter, error) {
 	paths, err := ballarus.ProgramPaths(prog)
 	if err != nil {
 		return nil, err
 	}
-	return recordSeed(prog, seed, opts, static, paths)
+	h := &hunter{
+		prog:   prog,
+		static: staticanalysis.Analyze(prog),
+		paths:  paths,
+		sched:  vm.NewRandomScheduler(opts.Seed),
+	}
+	if !opts.NoDemote {
+		h.demoted = demotedGlobals(h.static)
+	}
+	return h, nil
 }
 
 // demotedGlobals marks the shared globals whose accesses the recorder may
@@ -318,27 +342,25 @@ func demotedGlobals(static *staticanalysis.Result) []bool {
 	return out
 }
 
-// recordSeed is RecordSeed with the per-program analyses precomputed.
-func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, static *staticanalysis.Result, paths []*ballarus.FuncPaths) (*Recording, error) {
-	pathRec := &vm.PathRecorder{Paths: paths, Log: &trace.PathLog{}}
-	sched := vm.NewRandomScheduler(seed)
+// record runs one attempt with the given seed under opts' model, inputs,
+// budget and scheduler tuning.
+func (h *hunter) record(seed int64, opts RecordOptions) (*Recording, error) {
+	pathRec := &vm.PathRecorder{Paths: h.paths, Log: &trace.PathLog{}}
+	sched := h.sched
+	sched.Reseed(seed)
 	if opts.Chaos > 0 {
 		sched.Chaos = opts.Chaos
 	}
 	if opts.DrainBias > 0 {
 		sched.DrainBias = opts.DrainBias
 	}
-	var demoted []bool
-	if !opts.NoDemote {
-		demoted = demotedGlobals(static)
-	}
-	machine, err := vm.New(prog, vm.Config{
+	machine, err := vm.New(h.prog, vm.Config{
 		Model:        opts.Model,
 		Inputs:       opts.Inputs,
 		MaxActions:   opts.MaxActions,
 		Sched:        sched,
-		Shared:       static.Sharing.Shared,
-		Demoted:      demoted,
+		Shared:       h.static.Sharing.Shared,
+		Demoted:      h.demoted,
 		PathRecorder: pathRec,
 	})
 	if err != nil {
@@ -349,11 +371,11 @@ func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, static *static
 		return nil, err
 	}
 	return &Recording{
-		Prog:       prog,
+		Prog:       h.prog,
 		Model:      opts.Model,
 		Inputs:     opts.Inputs,
-		Sharing:    static.Sharing,
-		Static:     static,
+		Sharing:    h.static.Sharing,
+		Static:     h.static,
 		Paths:      pathRec.Paths,
 		Log:        pathRec.Log,
 		Failure:    res.Failure,
@@ -362,7 +384,7 @@ func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, static *static
 		Chaos:      sched.Chaos,
 		DrainBias:  sched.DrainBias,
 		MaxActions: opts.MaxActions,
-		Demoted:    demoted,
+		Demoted:    h.demoted,
 	}, nil
 }
 

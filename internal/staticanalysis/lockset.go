@@ -29,13 +29,6 @@ import (
 // mutual-exclusion claims the race pass makes remain valid because the
 // waiting thread performs no accesses while m is released.
 
-// flowResult is one intraprocedural dataflow run.
-type flowResult struct {
-	exit ir.LockSet
-	// at is the state immediately before each instruction.
-	at map[ir.Instr]ir.LockSet
-}
-
 // locksets computes summaries, entry sets, and the final per-instruction
 // must-held map (a.res.Must) and may-held map (a.mayAt).
 func (a *analysis) locksets() {
@@ -54,16 +47,16 @@ func (a *analysis) locksets() {
 	for changed := true; changed; {
 		changed = false
 		for fi, fn := range prog.Funcs {
-			rT := a.flow(fn, top, false, sumTopM, sumBotM)
-			rB := a.flow(fn, 0, false, sumTopM, sumBotM)
-			if rT.exit != sumTopM[fi] || rB.exit != sumBotM[fi] {
-				sumTopM[fi], sumBotM[fi] = rT.exit, rB.exit
+			rT := a.flow(fn, top, false, sumTopM, sumBotM, nil, false)
+			rB := a.flow(fn, 0, false, sumTopM, sumBotM, nil, false)
+			if rT != sumTopM[fi] || rB != sumBotM[fi] {
+				sumTopM[fi], sumBotM[fi] = rT, rB
 				changed = true
 			}
-			yT := a.flow(fn, top, true, sumTopY, sumBotY)
-			yB := a.flow(fn, 0, true, sumTopY, sumBotY)
-			if yT.exit != sumTopY[fi] || yB.exit != sumBotY[fi] {
-				sumTopY[fi], sumBotY[fi] = yT.exit, yB.exit
+			yT := a.flow(fn, top, true, sumTopY, sumBotY, nil, false)
+			yB := a.flow(fn, 0, true, sumTopY, sumBotY, nil, false)
+			if yT != sumTopY[fi] || yB != sumBotY[fi] {
+				sumTopY[fi], sumBotY[fi] = yT, yB
 				changed = true
 			}
 		}
@@ -82,6 +75,11 @@ func (a *analysis) locksets() {
 			entryM[fi] = top
 		}
 	}
+	// The call-site states of the latest pass over each function. A
+	// function's reachable blocks do not depend on its entry set, so each
+	// pass overwrites every entry the previous one wrote.
+	callM := map[ir.Instr]ir.LockSet{}
+	callY := map[ir.Instr]ir.LockSet{}
 	for changed := true; changed; {
 		changed = false
 		accM := make([]ir.LockSet, n)
@@ -91,8 +89,8 @@ func (a *analysis) locksets() {
 			if len(a.rootsOf[fi]) == 0 {
 				continue // dead functions never call anyone
 			}
-			rM := a.flow(fn, entryM[fi], false, sumTopM, sumBotM)
-			rY := a.flow(fn, entryY[fi], true, sumTopY, sumBotY)
+			a.flow(fn, entryM[fi], false, sumTopM, sumBotM, callM, true)
+			a.flow(fn, entryY[fi], true, sumTopY, sumBotY, callY, true)
 			for _, b := range fn.Blocks {
 				for _, in := range b.Instrs {
 					c, ok := in.(*ir.Call)
@@ -100,12 +98,12 @@ func (a *analysis) locksets() {
 						continue
 					}
 					if seen[c.Func] {
-						accM[c.Func] = accM[c.Func].Inter(rM.at[in])
+						accM[c.Func] = accM[c.Func].Inter(callM[in])
 					} else {
-						accM[c.Func] = rM.at[in]
+						accM[c.Func] = callM[in]
 						seen[c.Func] = true
 					}
-					accY[c.Func] = accY[c.Func].Union(rY.at[in])
+					accY[c.Func] = accY[c.Func].Union(callY[in])
 				}
 			}
 		}
@@ -131,21 +129,17 @@ func (a *analysis) locksets() {
 		if len(a.rootsOf[fi]) == 0 {
 			continue // dead code keeps the zero (empty) lockset
 		}
-		rM := a.flow(fn, entryM[fi], false, sumTopM, sumBotM)
-		rY := a.flow(fn, entryY[fi], true, sumTopY, sumBotY)
-		for in, s := range rM.at {
-			a.res.Must[in] = s
-		}
-		for in, s := range rY.at {
-			a.mayAt[in] = s
-		}
+		a.flow(fn, entryM[fi], false, sumTopM, sumBotM, a.res.Must, false)
+		a.flow(fn, entryY[fi], true, sumTopY, sumBotY, a.mayAt, false)
 	}
 }
 
-// flow runs one intraprocedural pass over fn with the given entry set.
-// may selects the meet: union (may-held) or intersection (must-held).
-func (a *analysis) flow(fn *ir.Func, entry ir.LockSet, may bool, sumTop, sumBot []ir.LockSet) flowResult {
-	res := flowResult{at: map[ir.Instr]ir.LockSet{}}
+// flow runs one intraprocedural pass over fn with the given entry set and
+// returns the exit set. may selects the meet: union (may-held) or
+// intersection (must-held). A non-nil at receives the state immediately
+// before each reachable instruction, or before each call when callsOnly
+// is set; a block's last visit writes its converged states.
+func (a *analysis) flow(fn *ir.Func, entry ir.LockSet, may bool, sumTop, sumBot []ir.LockSet, at map[ir.Instr]ir.LockSet, callsOnly bool) ir.LockSet {
 	nb := len(fn.Blocks)
 	in := make([]ir.LockSet, nb)
 	seen := make([]bool, nb)
@@ -159,7 +153,11 @@ func (a *analysis) flow(fn *ir.Func, entry ir.LockSet, may bool, sumTop, sumBot 
 		work = work[:len(work)-1]
 		cur := in[b.ID]
 		for _, instr := range b.Instrs {
-			res.at[instr] = cur
+			if at != nil {
+				if _, isCall := instr.(*ir.Call); isCall || !callsOnly {
+					at[instr] = cur
+				}
+			}
 			cur = transfer(cur, instr, sumTop, sumBot)
 		}
 		if _, ok := b.Term.(*ir.Return); ok {
@@ -193,8 +191,7 @@ func (a *analysis) flow(fn *ir.Func, entry ir.LockSet, may bool, sumTop, sumBot 
 		// exit is vacuously everything.
 		exit = ir.AllLocks(a.prog)
 	}
-	res.exit = exit
-	return res
+	return exit
 }
 
 // transfer applies one instruction's effect to a lockset. It is shared by

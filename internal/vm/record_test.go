@@ -300,6 +300,25 @@ func TestStoreBufferUnit(t *testing.T) {
 	if p.pending() != 1 {
 		t.Fatalf("pending = %d, want 1", p.pending())
 	}
+	// The PSO list holds every buffered address once, ascending, however
+	// the stores were issued, and a shorter list after a longer one keeps
+	// nothing of it.
+	for _, tc := range []struct {
+		push []int
+		want string
+	}{
+		{[]int{3, 1, 3, 0, 1}, "[0 1 3]"},
+		{[]int{3, 2, 1, 0}, "[0 1 2 3]"},
+		{[]int{2, 2, 2}, "[2]"},
+	} {
+		p.drainAll(mem)
+		for _, a := range tc.push {
+			p.push(a, int64(a))
+		}
+		if got := fmt.Sprint(p.drainableAddrs()); got != tc.want {
+			t.Errorf("PSO after pushes to %v: drainable = %s, want %s", tc.push, got, tc.want)
+		}
+	}
 }
 
 func TestModelString(t *testing.T) {

@@ -2,10 +2,12 @@ package vm
 
 import "math/rand"
 
-// Scheduler decides which enabled action runs next. Pick receives the
-// deterministic action list produced by EnabledActions and returns the
-// index of the chosen action.
+// Scheduler decides which enabled action runs next.
 type Scheduler interface {
+	// Pick receives the deterministic action list produced by
+	// EnabledActions and returns the index of the chosen action. The list
+	// is the VM's own buffer, valid only until the next step: a scheduler
+	// that keeps actions must copy them.
 	Pick(v *VM, actions []Action) int
 }
 
@@ -27,43 +29,66 @@ type RandomScheduler struct {
 	hasLast   bool
 }
 
+// The moderate switching NewRandomScheduler and Reseed start from.
+const (
+	defaultChaos     = 40
+	defaultDrainBias = 30
+)
+
 // NewRandomScheduler returns a seeded random scheduler with moderate
 // switching.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{Rng: rand.New(rand.NewSource(seed)), Chaos: 40, DrainBias: 30}
+	return &RandomScheduler{Rng: rand.New(rand.NewSource(seed)), Chaos: defaultChaos, DrainBias: defaultDrainBias}
+}
+
+// Reseed puts s back in the state NewRandomScheduler(seed) returns, reusing
+// its generator: (*rand.Rand).Seed restarts the same stream a fresh
+// rand.NewSource(seed) gives. A bug hunt re-seeds one scheduler per seed.
+func (s *RandomScheduler) Reseed(seed int64) {
+	s.Rng.Seed(seed)
+	*s = RandomScheduler{Rng: s.Rng, Chaos: defaultChaos, DrainBias: defaultDrainBias}
 }
 
 // Pick implements Scheduler.
 func (s *RandomScheduler) Pick(v *VM, actions []Action) int {
-	// Optionally prefer a drain action so buffered stores stay pending
-	// across other threads' operations.
-	var drains []int
-	var runs []int
-	for i, a := range actions {
+	drains := 0
+	for _, a := range actions {
 		if a.Kind == ActDrain {
-			drains = append(drains, i)
-		} else {
-			runs = append(runs, i)
+			drains++
 		}
 	}
-	if len(drains) > 0 && (len(runs) == 0 || s.Rng.Intn(100) < s.DrainBias) {
-		return drains[s.Rng.Intn(len(drains))]
-	}
-	if len(runs) == 0 {
-		return drains[s.Rng.Intn(len(drains))]
+	runs := len(actions) - drains
+	// Optionally prefer a drain action so buffered stores stay pending
+	// across other threads' operations.
+	if drains > 0 && (runs == 0 || s.Rng.Intn(100) < s.DrainBias) {
+		return nthOfKind(actions, true, s.Rng.Intn(drains))
 	}
 	// Stickiness: continue the last thread unless chaos strikes.
 	if s.hasLast && s.Rng.Intn(100) >= s.Chaos {
-		for _, i := range runs {
-			if actions[i].Thread == s.last {
+		for i, a := range actions {
+			if a.Kind != ActDrain && a.Thread == s.last {
 				return i
 			}
 		}
 	}
-	i := runs[s.Rng.Intn(len(runs))]
+	i := nthOfKind(actions, false, s.Rng.Intn(runs))
 	s.last = actions[i].Thread
 	s.hasLast = true
 	return i
+}
+
+// nthOfKind returns the index of the n-th (from 0) drain action of actions
+// when drain is set, else of the n-th run action.
+func nthOfKind(actions []Action, drain bool, n int) int {
+	for i, a := range actions {
+		if (a.Kind == ActDrain) == drain {
+			if n == 0 {
+				return i
+			}
+			n--
+		}
+	}
+	panic("vm: nthOfKind out of range")
 }
 
 // RoundRobinScheduler rotates through runnable threads, draining buffers

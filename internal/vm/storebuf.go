@@ -1,7 +1,5 @@
 package vm
 
-import "sort"
-
 // bufEntry is one pending store.
 type bufEntry struct {
 	addr int
@@ -25,6 +23,8 @@ type storeBuffer struct {
 	// entries is the pending-store queue in issue order. For TSO only the
 	// head may drain; for PSO the oldest entry per address may drain.
 	entries []bufEntry
+	// addrs is drainableAddrs' result buffer, reused at every step.
+	addrs []int
 }
 
 func newStoreBuffer(model MemModel) *storeBuffer {
@@ -47,24 +47,32 @@ func (b *storeBuffer) lookup(addr int) (int64, bool) {
 }
 
 // drainableAddrs lists the addresses whose oldest pending store may drain
-// next, in ascending order. TSO: only the head entry's address. PSO: the
-// oldest entry of every address.
+// next, in ascending order. TSO: only the head entry's address. PSO: every
+// buffered address once. The slice is the buffer's own and is valid only
+// until the next call.
 func (b *storeBuffer) drainableAddrs() []int {
 	if len(b.entries) == 0 {
 		return nil
 	}
 	if b.model == TSO {
-		return []int{b.entries[0].addr}
+		b.addrs = append(b.addrs[:0], b.entries[0].addr)
+		return b.addrs
 	}
-	seen := map[int]bool{}
-	var addrs []int
+	// Insertion sort without duplicates: buffers hold a handful of stores.
+	addrs := b.addrs[:0]
 	for _, e := range b.entries {
-		if !seen[e.addr] {
-			seen[e.addr] = true
-			addrs = append(addrs, e.addr)
+		i := len(addrs)
+		for i > 0 && addrs[i-1] > e.addr {
+			i--
 		}
+		if i > 0 && addrs[i-1] == e.addr {
+			continue
+		}
+		addrs = append(addrs, 0)
+		copy(addrs[i+1:], addrs[i:])
+		addrs[i] = e.addr
 	}
-	sort.Ints(addrs)
+	b.addrs = addrs
 	return addrs
 }
 

@@ -23,7 +23,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/trace"
@@ -286,6 +285,8 @@ type VM struct {
 	output       []int64
 	failure      *Failure
 	actionCount  int
+	// acts is EnabledActions' result buffer, reused at every step.
+	acts []Action
 }
 
 type mutexState struct {
@@ -478,9 +479,11 @@ func (v *VM) describeBlocked() string {
 
 // EnabledActions enumerates the schedulable actions in a deterministic
 // order: thread run actions by thread id, then drain actions by thread id
-// and address.
+// and ascending address. A thread's id is its index in the thread table,
+// so building the list in table order gives that order without sorting.
+// The slice is the VM's own buffer: it is valid only until the next step.
 func (v *VM) EnabledActions() []Action {
-	var acts []Action
+	acts := v.acts[:0]
 	for _, t := range v.threads {
 		if v.canRun(t) {
 			acts = append(acts, Action{Kind: ActRun, Thread: t.ID})
@@ -494,15 +497,7 @@ func (v *VM) EnabledActions() []Action {
 			acts = append(acts, Action{Kind: ActDrain, Thread: t.ID, Addr: addr})
 		}
 	}
-	sort.Slice(acts, func(i, j int) bool {
-		if acts[i].Kind != acts[j].Kind {
-			return acts[i].Kind < acts[j].Kind
-		}
-		if acts[i].Thread != acts[j].Thread {
-			return acts[i].Thread < acts[j].Thread
-		}
-		return acts[i].Addr < acts[j].Addr
-	})
+	v.acts = acts
 	return acts
 }
 
