@@ -48,11 +48,8 @@ races-examples:
 build:
 	$(GO) build ./...
 
-# The race detector slows the solver-heavy suites by an order of
-# magnitude; go test's default 10m per-package timeout is not enough for
-# internal/bench on small machines.
 test:
-	$(GO) test -race -timeout 40m ./...
+	$(GO) test -race ./...
 
 # The end-to-end benchmark is a nested module (e2ebench/go.mod), so the
 # root's ./... never compiles it; vet and test it on its own so a change

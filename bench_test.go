@@ -2,7 +2,7 @@
 // table (run with `go test -bench=. -benchmem`):
 //
 //   - BenchmarkTable1/* times the offline pipeline (symbolic execution +
-//     constraint encoding + sequential solving + verified replay) per
+//     constraint encoding + the product solver + verified replay) per
 //     evaluation program — Table 1's time columns; the constraint sizes
 //     are attached as custom metrics.
 //   - BenchmarkTable2/* times one recorded execution under the three
@@ -11,7 +11,7 @@
 //   - BenchmarkHunt/* times the record phase's bug hunt (core.Record) per
 //     evaluation program and reports the seeds it tried.
 //   - BenchmarkTable3/* times parallel generate-and-validate solving vs
-//     the sequential solver — Table 3.
+//     the sequential CNF session — Table 3.
 //   - BenchmarkAblation/* check the design claims DESIGN.md calls out:
 //     constraint size growth with #SAPs (§4.1's cubic bound), the effect
 //     of the preemption bound on generation counts, and the run-length
@@ -25,12 +25,12 @@ import (
 
 	"repro/internal/ballarus"
 	"repro/internal/bench"
+	"repro/internal/cnfsolver"
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parsolve"
 	"repro/internal/schedule"
-	"repro/internal/solver"
 	"repro/internal/symexec"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -57,29 +57,20 @@ func prepare(b *testing.B, name string) *bench.Prepared {
 	return p
 }
 
-// table1Programs: every paper benchmark; racey is separated because its
-// high preemption bound dominates runtime.
-var table1Programs = []string{
-	"sim_race", "pbzip2", "aget", "bbuf", "swarm", "pfscan", "apache",
-	"bakery", "dekker", "peterson",
-}
-
+// BenchmarkTable1 reproduces every paper benchmark on the product path
+// (the solver portfolio) with a verifying replay.
 func BenchmarkTable1(b *testing.B) {
-	for _, name := range table1Programs {
-		name := name
+	for _, bm := range bench.All() {
+		name := bm.Name
 		b.Run(name, func(b *testing.B) {
 			p := prepare(b, name)
-			bm := p.Bench
 			b.ReportMetric(float64(p.Stats.SAPs), "SAPs")
 			b.ReportMetric(float64(p.Stats.Clauses), "constraints")
 			b.ReportMetric(float64(p.Stats.Variables), "variables")
 			var cs int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-					Solver:     core.Sequential,
-					SeqOptions: solver.Options{MaxPreemptions: bm.MaxPreemptions},
-				})
+				rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,24 +82,6 @@ func BenchmarkTable1(b *testing.B) {
 			b.ReportMetric(float64(cs), "preemptions")
 		})
 	}
-	b.Run("racey", func(b *testing.B) {
-		p := prepare(b, "racey")
-		b.ReportMetric(float64(p.Stats.SAPs), "SAPs")
-		b.ReportMetric(float64(p.Stats.Clauses), "constraints")
-		var cs int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-				Solver:     core.Sequential,
-				SeqOptions: solver.Options{MaxPreemptions: p.Bench.MaxPreemptions},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cs = rep.Solution.Preemptions
-		}
-		b.ReportMetric(float64(cs), "preemptions")
-	})
 }
 
 func BenchmarkTable2(b *testing.B) {
@@ -193,8 +166,9 @@ func BenchmarkHunt(b *testing.B) {
 	}
 }
 
-// table3Programs: parallel-vs-sequential comparison on the programs whose
-// bugs the bounded generator can reach. The relaxed trio
+// table3Programs: parallel-vs-sequential comparison (the CNF session is
+// the sequential side) on the programs whose bugs the bounded generator
+// can reach. The relaxed trio
 // (bakery/dekker/peterson) needs more preemptions than the bound sweep
 // explores — the paper's negative result, shown by `clapbench -table 3`
 // and asserted in the bench package's tests.
@@ -221,14 +195,10 @@ func BenchmarkTable3(b *testing.B) {
 			}
 			b.ReportMetric(float64(gen), "generated")
 		})
-		b.Run(name+"/sequential", func(b *testing.B) {
+		b.Run(name+"/cnf", func(b *testing.B) {
 			p := prepare(b, name)
-			bound := p.Bench.MaxPreemptions
-			if bound == 0 {
-				bound = -1
-			}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := solver.Solve(p.System, solver.Options{MaxPreemptions: bound}); err != nil {
+				if _, _, err := cnfsolver.NewSession(p.System, cnfsolver.Options{}).SolveMinimal(0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,7 @@
 //
 //	prog, _ := repro.Compile(src)
 //	rec, _ := repro.Record(prog, repro.RecordOptions{Model: repro.PSO, SeedLimit: 5000})
-//	rep, _ := repro.Reproduce(rec, repro.ReproduceOptions{Solver: repro.Sequential})
+//	rep, _ := repro.Reproduce(rec, repro.ReproduceOptions{})
 //	fmt.Println(rep.Solution.Preemptions, rep.Outcome.Reproduced)
 //
 // See README.md for the architecture and DESIGN.md for the per-experiment
@@ -32,19 +32,16 @@ const (
 
 // Solver strategies.
 const (
-	// Sequential is the dedicated finite-domain decision procedure with
-	// minimal-preemption iteration.
-	Sequential = core.Sequential
+	// Portfolio, the zero value, is the product path: on SC recordings a
+	// 20 ms head start enumerates schedules of up to three preemptions,
+	// then CNF searches to the fewest preemptions with the rest of the
+	// budget; a TSO/PSO recording starts at CNF. The per-attempt trail is
+	// in Reproduction.Attempts.
+	Portfolio = core.Portfolio
 	// Parallel is the generate-and-validate worker pool (paper §4.3).
 	Parallel = core.Parallel
 	// CNF is the SAT encoding with a CDCL core.
 	CNF = core.CNF
-	// Portfolio runs Sequential for a 20 ms head start on SC recordings,
-	// then CNF with the rest of the budget, searching to the fewest
-	// preemptions, then Sequential again if CNF failed before the
-	// deadline without an unsat proof; a TSO/PSO recording starts at CNF.
-	// The per-attempt trail is in Reproduction.Attempts.
-	Portfolio = core.Portfolio
 )
 
 // Re-exported pipeline types.

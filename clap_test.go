@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"strings"
 	"testing"
 
 	repro "repro"
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := repro.Reproduce(rec, repro.ReproduceOptions{Solver: repro.Sequential})
+	rep, err := repro.Reproduce(rec, repro.ReproduceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +42,23 @@ func main() {
 	if rep.Solution.Preemptions < 0 || rep.Stats.SAPs == 0 {
 		t.Error("facade result incomplete")
 	}
+	// The zero SolverKind is the product path.
+	port, err := repro.Reproduce(rec, repro.ReproduceOptions{Solver: repro.Portfolio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := trailOf(rep.Attempts), trailOf(port.Attempts); got != want {
+		t.Errorf("zero-value options ran %s, Portfolio %s", got, want)
+	}
+}
+
+// trailOf renders an attempt trail as "solver outcome" pairs.
+func trailOf(attempts []repro.SolverAttempt) string {
+	parts := make([]string, len(attempts))
+	for i, a := range attempts {
+		parts[i] = a.Solver + " " + a.Outcome
+	}
+	return strings.Join(parts, ", ")
 }
 
 // TestFacadeOneCall drives the single-call API.

@@ -46,12 +46,13 @@
 //	-seed N             first scheduler seed (default 0)
 //	-seeds N            how many seeds to try when hunting (default 2000)
 //	-input a,b,c        deterministic program inputs
-//	-solver seq|par|cnf|portfolio
-//	                    solving strategy (default seq); portfolio runs
-//	                    seq for a 20 ms head start (SC recordings only),
-//	                    then cnf, then seq if cnf failed without an
-//	                    unsat proof, printing the attempt trail
-//	-cs N               preemption bound (-1 = minimal, default)
+//	-solver portfolio|par|cnf
+//	                    solving strategy (default portfolio, the product
+//	                    path: on SC recordings a 20 ms head start
+//	                    enumerates schedules of up to 3 preemptions, then
+//	                    cnf searches to the fewest, printing the attempt
+//	                    trail); seq, the retired sequential search, runs
+//	                    the portfolio
 //	-timeout D          bound each phase's wall time (e.g. 30s, 2m);
 //	                    interrupted phases report partial diagnostics
 //	-o FILE             record: also write the crash-tolerant framed log;
@@ -91,6 +92,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/clapd"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/races"
@@ -133,7 +135,6 @@ type flags struct {
 	seeds    int64
 	inputs   []int64
 	solver   string
-	cs       int
 	timeout  time.Duration
 	out      string
 	jsonOut  bool
@@ -158,7 +159,7 @@ type flags struct {
 }
 
 func parseFlags(args []string) (rest []string, f flags, err error) {
-	f = flags{seeds: 2000, solver: "seq", cs: -1}
+	f = flags{seeds: 2000}
 	i := 0
 	need := func(name string) (string, error) {
 		i++
@@ -226,15 +227,6 @@ func parseFlags(args []string) (rest []string, f flags, err error) {
 				return nil, f, err
 			}
 			f.solver = v
-		case "-cs":
-			v, err := need(a)
-			if err != nil {
-				return nil, f, err
-			}
-			f.cs, err = strconv.Atoi(v)
-			if err != nil {
-				return nil, f, err
-			}
 		case "-timeout":
 			v, err := need(a)
 			if err != nil {
@@ -702,26 +694,18 @@ func cmdBench(rest []string, f flags) error {
 	f.model = b.Model
 	f.inputs = b.Inputs
 	f.seeds = b.SeedLimit
-	if b.MaxPreemptions != 0 {
-		f.cs = b.MaxPreemptions
-	}
 	fmt.Printf("benchmark %s: %s\n", b.Name, b.Description)
 	return reproduceSource(b.Source, f)
 }
 
-// solverKind maps the -solver flag to a core.SolverKind.
+// solverKind maps the -solver flag to a core.SolverKind by clapd's table
+// of solver names, the one a bundle's solver field goes through.
 func solverKind(name string) (core.SolverKind, error) {
-	switch name {
-	case "seq":
-		return core.Sequential, nil
-	case "par":
-		return core.Parallel, nil
-	case "cnf":
-		return core.CNF, nil
-	case "portfolio":
-		return core.Portfolio, nil
+	k, err := clapd.SolverKind(name)
+	if err != nil {
+		return 0, usagef("%v", err)
 	}
-	return 0, usagef("unknown solver %q", name)
+	return k, nil
 }
 
 func reproduceSource(src string, f flags) error {
@@ -751,7 +735,6 @@ func reproduceSource(src string, f flags) error {
 	// between solving and the final deterministic replay.
 	ropts := core.ReproduceOptions{
 		Solver:     kind,
-		SeqOptions: solver.Options{MaxPreemptions: f.cs},
 		Deadline:   f.timeout,
 		SkipReplay: true,
 		Obs:        f.tr,
@@ -772,7 +755,7 @@ func reproduceSource(src string, f flags) error {
 		if f.dump && rep.System != nil {
 			fmt.Println(rep.System.Formula())
 		}
-		if f.solver == "portfolio" || f.verbose {
+		if kind == core.Portfolio || f.verbose {
 			for _, a := range rep.Attempts {
 				fmt.Printf("  attempt %s\n", a)
 			}
@@ -782,8 +765,6 @@ func reproduceSource(src string, f flags) error {
 		return rerr
 	}
 	switch {
-	case f.verbose && rep.SeqStats != nil:
-		fmt.Printf("  sequential solver: %+v\n", *rep.SeqStats)
 	case rep.Parallel != nil && kind == core.Parallel:
 		fmt.Printf("  parallel solver: generated %d, valid %d, bound %d, %.3fs\n",
 			rep.Parallel.Generated, rep.Parallel.Valid, rep.Parallel.Bound, rep.Parallel.Elapsed.Seconds())
@@ -870,9 +851,6 @@ func resolveTarget(rest []string, f flags, usage string) (src, name string, out 
 		f.model = b.Model
 		f.inputs = b.Inputs
 		f.seeds = b.SeedLimit
-		if b.MaxPreemptions != 0 {
-			f.cs = b.MaxPreemptions
-		}
 		return b.Source, b.Name, f, nil
 	}
 	data, err := os.ReadFile(rest[0])
@@ -883,11 +861,10 @@ func resolveTarget(rest []string, f flags, usage string) (src, name string, out 
 }
 
 // flightPipeline records a failure and reproduces it with the flight
-// recorder's capture hooks armed: the replay's visible events are
-// collected for the timeline's replay lane, and the sequential solver
-// keeps its deepest partial order so a failed solve still has something
-// to show. A non-nil Reproduction may come back alongside an error — the
-// partial pipeline is exactly what timeline/explain want to look at.
+// recorder's capture hook armed: the replay's visible events are
+// collected for the timeline's replay lane. A non-nil Reproduction may
+// come back alongside an error — the partial pipeline is exactly what
+// timeline/explain want to look at.
 func flightPipeline(src string, f flags, skipReplay bool) (*core.Reproduction, error) {
 	kind, err := solverKind(f.solver)
 	if err != nil {
@@ -906,7 +883,6 @@ func flightPipeline(src string, f flags, skipReplay bool) (*core.Reproduction, e
 	}
 	return core.Reproduce(rec, core.ReproduceOptions{
 		Solver:        kind,
-		SeqOptions:    solver.Options{MaxPreemptions: f.cs, CapturePartial: true},
 		Deadline:      f.timeout,
 		SkipReplay:    skipReplay,
 		CaptureReplay: true,
@@ -919,8 +895,8 @@ func flightPipeline(src string, f flags, skipReplay bool) (*core.Reproduction, e
 // arrows, and the replay capture. With -o the artifact is Chrome
 // trace-event JSON (validated before writing, linked from the metrics
 // report); without it an ASCII rendering goes to stdout. A failed solve
-// still writes what exists — the recorded lane plus the sequential
-// attempt's partial order — and then reports the failure.
+// still writes what exists — the recorded lane — and then reports the
+// failure.
 func cmdTimeline(rest []string, f flags) error {
 	src, name, f, err := resolveTarget(rest, f, "usage: clap timeline <prog.mc|benchmark> [-o FILE] [flags]")
 	if err != nil {

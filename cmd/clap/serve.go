@@ -261,13 +261,7 @@ func cmdBundle(rest []string, f flags) error {
 	if err != nil {
 		return err
 	}
-	solverName := f.solver
-	if solverName == "seq" {
-		// The daemon defaults to the portfolio; only explicit choices ride
-		// along. (parseFlags defaults -solver to seq for the local commands.)
-		solverName = ""
-	}
-	b := clapd.FromRecording(rec, src, name, solverName)
+	b := clapd.FromRecording(rec, src, name, f.solver)
 	if truncate > 0 {
 		if truncate >= len(b.Log) {
 			return usagef("-truncate-log %d would remove the whole %dB log", truncate, len(b.Log))

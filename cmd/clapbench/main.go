@@ -10,7 +10,8 @@
 //	clapbench -runs N             Table 2 repetitions (default 5)
 //	clapbench -workers N          Table 3 validation workers (default 8,
 //	                              the paper's eight-core machine)
-//	clapbench -deadline 30s       Table 3 per-benchmark parallel deadline
+//	clapbench -deadline 30s       Table 3 per-benchmark deadline of the
+//	                              parallel solver and the CNF session
 package main
 
 import (
@@ -28,7 +29,7 @@ func main() {
 	names := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 	runs := flag.Int("runs", 5, "Table 2 repetitions")
 	workers := flag.Int("workers", 8, "Table 3 validation workers")
-	deadline := flag.Duration("deadline", 60*time.Second, "Table 3 per-benchmark parallel deadline")
+	deadline := flag.Duration("deadline", 60*time.Second, "Table 3 per-benchmark deadline of the parallel solver and the CNF session")
 	flag.Parse()
 
 	selected := bench.All()
@@ -47,7 +48,7 @@ func main() {
 	want := func(t string) bool { return *table == "all" || *table == t }
 
 	if want("1") {
-		fmt.Println("=== Table 1: bug reproduction effectiveness (sequential solver + verified replay) ===")
+		fmt.Println("=== Table 1: bug reproduction effectiveness (product solver + verified replay) ===")
 		rows := bench.Table1(selected)
 		bench.FormatTable1(os.Stdout, rows)
 		fmt.Println()
@@ -66,7 +67,7 @@ func main() {
 		fmt.Println()
 	}
 	if want("3") {
-		fmt.Printf("=== Table 3: parallel constraint solving (%d workers) ===\n", *workers)
+		fmt.Printf("=== Table 3: parallel constraint solving (%d workers; T-seq is the CNF session) ===\n", *workers)
 		rows := bench.Table3(selected, *workers, *deadline)
 		bench.FormatTable3(os.Stdout, rows)
 		fmt.Println()

@@ -1,12 +1,13 @@
 // Parallel solving: compare CLAP's three solving strategies on one
 // recorded failure (§4.3 and Table 3 of the paper).
 //
-//   - sequential: the dedicated finite-domain decision procedure with
-//     minimal-preemption iteration;
-//   - parallel: preemption-bounded schedule generation with a pool of
-//     validation workers — the paper's parallel algorithm;
-//   - cnf: the SMT-style reference backend — CDCL SAT over boolean order
-//     variables with the cubic transitivity axioms and lazy value theory.
+//   - enumerate: preemption-bounded schedule generation validated on one
+//     goroutine, bounds 0 to 3 — the product path's head start;
+//   - parallel: the same generation with a pool of validation workers —
+//     the paper's parallel algorithm;
+//   - cnf: the SMT-style backend — CDCL SAT over boolean order variables
+//     with lazy order, address and value theories, searching to the
+//     fewest preemptions.
 //
 // All three must agree, and every returned schedule must replay to the
 // same assertion failure.
@@ -22,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parsolve"
 	"repro/internal/replay"
+	"repro/internal/schedule"
 	"repro/internal/solver"
 	"repro/internal/vm"
 )
@@ -82,11 +84,11 @@ func main() {
 	}
 
 	t0 := time.Now()
-	seqSol, _, err := solver.Solve(sys, solver.Options{MaxPreemptions: -1})
-	if err != nil {
-		log.Fatal(err)
+	order, w, _ := schedule.Enumerate(sys, nil)
+	if order == nil {
+		log.Fatal("enumeration found nothing within 3 preemptions")
 	}
-	verify("sequential", seqSol, time.Since(t0))
+	verify("enumerate", &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, time.Since(t0))
 
 	t1 := time.Now()
 	par, err := parsolve.Solve(sys, parsolve.Options{Workers: runtime.GOMAXPROCS(0), StopAfter: 4})
@@ -101,11 +103,11 @@ func main() {
 		par.Generated, par.Bound, par.Valid)
 
 	t2 := time.Now()
-	cnfSol, st, err := cnfsolver.Solve(sys, cnfsolver.Options{})
+	cnfSol, st, err := cnfsolver.NewSession(sys, cnfsolver.Options{}).SolveMinimal(0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	verify("cnf", cnfSol, time.Since(t2))
-	fmt.Printf("             %d boolean variables, %d clauses (the paper's cubic order encoding), %d theory rounds\n",
+	fmt.Printf("             %d boolean variables, %d clauses, %d value checks\n",
 		st.BoolVars, st.Clauses, st.TheoryRounds)
 }

@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("\nrecorded crash with seed %d: %v\n", rec.Seed, rec.Failure)
 	fmt.Printf("CLAP log: %d bytes (thread-local paths only)\n", rec.LogSize())
 
-	rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Sequential})
+	rep, err := core.Reproduce(rec, core.ReproduceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

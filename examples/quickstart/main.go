@@ -64,7 +64,7 @@ func main() {
 		rec.LogSize(), len(rec.Log.Threads), rec.Run.Instructions)
 
 	// Phases 2-4: analyze, solve, replay.
-	rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Sequential})
+	rep, err := core.Reproduce(rec, core.ReproduceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cnfsolver"
 	"repro/internal/constraints"
 	"repro/internal/core"
-	"repro/internal/solver"
 	"repro/internal/vm"
 )
 
@@ -106,13 +106,13 @@ func demo(name, src string, model vm.MemModel) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, _, err := solver.Solve(scSys, solver.Options{MaxPreemptions: 8}); err == nil {
+	if _, _, err := cnfsolver.Solve(scSys, cnfsolver.Options{}); err == nil {
 		log.Fatalf("%s: the trace should be UNSAT under SC", name)
 	} else {
 		fmt.Printf("SC encoding of the same trace: %v  ✓ (the bug requires %s)\n", err, model)
 	}
 
-	rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Sequential})
+	rep, err := core.Reproduce(rec, core.ReproduceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

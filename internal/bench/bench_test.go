@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/solver"
 	"repro/internal/vm"
 )
 
@@ -58,40 +57,25 @@ func TestEachBenchmarkTriggers(t *testing.T) {
 	}
 }
 
-// slowSequential names the programs whose sequential solve takes tens of
-// seconds (the mutual-exclusion spin loops and apache). BenchmarkTable1
-// asserts those solves; the CI benchmark smoke step runs it.
-var slowSequential = map[string]bool{"apache": true, "bakery": true, "dekker": true, "peterson": true}
-
 // TestEachBenchmarkReproduces is the paper's headline Table 1 claim: CLAP
-// reproduces every evaluated bug, with a verified replay. Every program
-// runs the product path (the portfolio, which clapd serves), and the
-// sequential solver runs on the programs it solves in under 2 s.
+// reproduces every evaluated bug, with a verified replay, on the product
+// path (the portfolio, which clapd serves).
 func TestEachBenchmarkReproduces(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			p := preparedFor(t, b)
-			kinds := []core.SolverKind{core.Portfolio}
-			if !slowSequential[b.Name] {
-				kinds = append(kinds, core.Sequential)
+			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, kind := range kinds {
-				rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-					Solver:     kind,
-					SeqOptions: solver.Options{MaxPreemptions: b.MaxPreemptions},
-				})
-				if err != nil {
-					t.Fatalf("%v: %v", kind, err)
-				}
-				if !rep.Outcome.Reproduced {
-					t.Fatalf("%v: bug not reproduced", kind)
-				}
-				t.Logf("%s %v: SAPs %d, constraints %d, vars %d, cs %d, solve %.3fs",
-					b.Name, kind, rep.Stats.SAPs, rep.Stats.Clauses, rep.Stats.Variables,
-					rep.Solution.Preemptions, rep.SolveTime().Seconds())
+			if !rep.Outcome.Reproduced {
+				t.Fatal("bug not reproduced")
 			}
+			t.Logf("%s: SAPs %d, constraints %d, vars %d, cs %d, solve %.3fs",
+				b.Name, rep.Stats.SAPs, rep.Stats.Clauses, rep.Stats.Variables,
+				rep.Solution.Preemptions, rep.SolveTime().Seconds())
 		})
 	}
 }

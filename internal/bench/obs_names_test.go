@@ -34,13 +34,19 @@ func TestObsNamesStable(t *testing.T) {
 			// Stage latency histograms.
 			"stage.record.ns", "stage.symexec.ns", "stage.preprocess.ns",
 			"stage.solve.ns", "stage.replay.ns",
-			"stage.solve.sequential.ns", "stage.solve.parallel.ns",
+			"stage.solve.enumerate.ns", "stage.solve.parallel.ns",
 			"stage.solve.cnf.ns",
 			// Daemon fleet metrics.
 			"clapd.queue.depth", "clapd.workers.busy", "clapd.job.ns",
 		} {
 			if !obs.IsStable(name) {
 				t.Errorf("%q missing from the stable-name list", name)
+			}
+		}
+		// The deleted sequential search's names went with it.
+		for _, name := range []string{"stage.solve.sequential.ns", "solver.seq.decisions", "solver.seq.bound"} {
+			if obs.IsStable(name) {
+				t.Errorf("%q is still in the stable-name list", name)
 			}
 		}
 		b, ok := ByName("dekker")
@@ -100,10 +106,8 @@ func TestObsNamesStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The sweep checks names and stage spans, not a solver: it
-			// runs the portfolio that clapd serves, which is much faster
-			// than the sequential search on the mutual-exclusion programs.
-			// TestEachBenchmarkReproduces covers the sequential solver.
+			// The sweep checks names and stage spans on the portfolio
+			// that clapd serves.
 			rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Portfolio, Obs: tr})
 			if err != nil {
 				t.Fatal(err)

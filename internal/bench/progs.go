@@ -27,10 +27,6 @@ type Benchmark struct {
 	// Table2Inputs is the heavier workload used for the overhead
 	// comparison (defaults to Inputs).
 	Table2Inputs []int64
-	// MaxPreemptions overrides the sequential solver's bound (<0 =
-	// minimal sweep). Racey needs a direct high bound, like the paper's
-	// outlier discussion.
-	MaxPreemptions int
 	// ParallelBound is the largest preemption bound the parallel solver
 	// sweeps for Table 3.
 	ParallelBound int
@@ -42,118 +38,107 @@ type Benchmark struct {
 func All() []Benchmark {
 	return []Benchmark{
 		{
-			Name:           "sim_race",
-			Source:         simRaceSrc,
-			Model:          vm.SC,
-			SeedLimit:      4000,
-			Table2Inputs:   []int64{400},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "simple racey program [16]: 4 racer threads on two shared variables",
+			Name:          "sim_race",
+			Source:        simRaceSrc,
+			Model:         vm.SC,
+			SeedLimit:     4000,
+			Table2Inputs:  []int64{400},
+			ParallelBound: 4,
+			Description:   "simple racey program [16]: 4 racer threads on two shared variables",
 		},
 		{
-			Name:           "pbzip2",
-			Source:         pbzip2Src,
-			Model:          vm.SC,
-			SeedLimit:      4000,
-			Inputs:         []int64{3},
-			Table2Inputs:   []int64{24},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "order violation: main invalidates the FIFO mutex while consumers still use it",
+			Name:          "pbzip2",
+			Source:        pbzip2Src,
+			Model:         vm.SC,
+			SeedLimit:     4000,
+			Inputs:        []int64{3},
+			Table2Inputs:  []int64{24},
+			ParallelBound: 4,
+			Description:   "order violation: main invalidates the FIFO mutex while consumers still use it",
 		},
 		{
-			Name:           "aget",
-			Source:         agetSrc,
-			Model:          vm.SC,
-			SeedLimit:      4000,
-			Inputs:         []int64{8},
-			Table2Inputs:   []int64{400},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "parallel downloader: racy chunk cursor and progress accounting",
+			Name:          "aget",
+			Source:        agetSrc,
+			Model:         vm.SC,
+			SeedLimit:     4000,
+			Inputs:        []int64{8},
+			Table2Inputs:  []int64{400},
+			ParallelBound: 4,
+			Description:   "parallel downloader: racy chunk cursor and progress accounting",
 		},
 		{
-			Name:           "bbuf",
-			Source:         bbufSrc,
-			Model:          vm.SC,
-			SeedLimit:      6000,
-			Inputs:         []int64{1},
-			Table2Inputs:   []int64{10},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "bounded buffer with an if-instead-of-while wait: consumes an empty slot",
+			Name:          "bbuf",
+			Source:        bbufSrc,
+			Model:         vm.SC,
+			SeedLimit:     6000,
+			Inputs:        []int64{1},
+			Table2Inputs:  []int64{10},
+			ParallelBound: 4,
+			Description:   "bounded buffer with an if-instead-of-while wait: consumes an empty slot",
 		},
 		{
-			Name:           "swarm",
-			Source:         swarmSrc,
-			Model:          vm.SC,
-			SeedLimit:      4000,
-			Inputs:         []int64{6},
-			Table2Inputs:   []int64{48},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "parallel sort: workers merge partition sums without synchronization",
+			Name:          "swarm",
+			Source:        swarmSrc,
+			Model:         vm.SC,
+			SeedLimit:     4000,
+			Inputs:        []int64{6},
+			Table2Inputs:  []int64{48},
+			ParallelBound: 4,
+			Description:   "parallel sort: workers merge partition sums without synchronization",
 		},
 		{
-			Name:           "pfscan",
-			Source:         pfscanSrc,
-			Model:          vm.SC,
-			SeedLimit:      4000,
-			Inputs:         []int64{6},
-			Table2Inputs:   []int64{40},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "parallel file scanner: locked work queue, racy match aggregation",
+			Name:          "pfscan",
+			Source:        pfscanSrc,
+			Model:         vm.SC,
+			SeedLimit:     4000,
+			Inputs:        []int64{6},
+			Table2Inputs:  []int64{40},
+			ParallelBound: 4,
+			Description:   "parallel file scanner: locked work queue, racy match aggregation",
 		},
 		{
-			Name:           "apache",
-			Source:         apacheSrc,
-			Model:          vm.SC,
-			SeedLimit:      8000,
-			Inputs:         []int64{2},
-			Table2Inputs:   []int64{60},
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "bug #45605: multi-variable atomicity violation between listener and workers on the request queue",
+			Name:          "apache",
+			Source:        apacheSrc,
+			Model:         vm.SC,
+			SeedLimit:     8000,
+			Inputs:        []int64{2},
+			Table2Inputs:  []int64{60},
+			ParallelBound: 4,
+			Description:   "bug #45605: multi-variable atomicity violation between listener and workers on the request queue",
 		},
 		{
-			Name:           "racey",
-			Source:         raceySrc,
-			Model:          vm.SC,
-			SeedLimit:      4000,
-			Inputs:         []int64{5, 4},
-			Table2Inputs:   []int64{800, 6},
-			MaxPreemptions: 64,
-			ParallelBound:  3,
-			Description:    "deterministic-replay stress test [38]: the failure needs many lost updates, i.e. many context switches",
+			Name:          "racey",
+			Source:        raceySrc,
+			Model:         vm.SC,
+			SeedLimit:     4000,
+			Inputs:        []int64{5, 4},
+			Table2Inputs:  []int64{800, 6},
+			ParallelBound: 3,
+			Description:   "deterministic-replay stress test [38]: the failure needs many lost updates, i.e. many context switches",
 		},
 		{
-			Name:           "bakery",
-			Source:         bakerySrc,
-			Model:          vm.PSO,
-			SeedLimit:      20000,
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "Lamport's bakery: correct under SC, broken by PSO write reordering",
+			Name:          "bakery",
+			Source:        bakerySrc,
+			Model:         vm.PSO,
+			SeedLimit:     20000,
+			ParallelBound: 4,
+			Description:   "Lamport's bakery: correct under SC, broken by PSO write reordering",
 		},
 		{
-			Name:           "dekker",
-			Source:         dekkerSrc,
-			Model:          vm.TSO,
-			SeedLimit:      8000,
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "Dekker's algorithm: correct under SC, broken by TSO store buffering",
+			Name:          "dekker",
+			Source:        dekkerSrc,
+			Model:         vm.TSO,
+			SeedLimit:     8000,
+			ParallelBound: 4,
+			Description:   "Dekker's algorithm: correct under SC, broken by TSO store buffering",
 		},
 		{
-			Name:           "peterson",
-			Source:         petersonSrc,
-			Model:          vm.TSO,
-			SeedLimit:      8000,
-			MaxPreemptions: -1,
-			ParallelBound:  4,
-			Description:    "Peterson's algorithm: correct under SC, broken by TSO store buffering",
+			Name:          "peterson",
+			Source:        petersonSrc,
+			Model:         vm.TSO,
+			SeedLimit:     8000,
+			ParallelBound: 4,
+			Description:   "Peterson's algorithm: correct under SC, broken by TSO store buffering",
 		},
 	}
 }

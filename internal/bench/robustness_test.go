@@ -149,7 +149,7 @@ func TestBenchmarkSalvageCorruptions(t *testing.T) {
 }
 
 // TestPortfolioFallbackReproduces is the headline robustness claim: with
-// the preferred sequential solver forced to fail, the portfolio still
+// the enumeration head start forced to fail, the portfolio still
 // reproduces every benchmark bug through its CNF step, and the attempt
 // trail says exactly what happened. A TSO/PSO recording starts at CNF, so
 // the injected fault never fires there.
@@ -161,11 +161,11 @@ func TestPortfolioFallbackReproduces(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			p := preparedFor(t, b)
-			faultinject.Enable("solver.sequential", faultinject.Failure{})
+			faultinject.Enable("solver.enumerate", faultinject.Failure{})
 			defer faultinject.Reset()
 			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{Solver: core.Portfolio})
 			if err != nil {
-				t.Fatalf("portfolio did not recover from an injected sequential failure: %v", err)
+				t.Fatalf("portfolio did not recover from an injected head-start failure: %v", err)
 			}
 			if rep.Outcome == nil || !rep.Outcome.Reproduced {
 				t.Fatal("bug not reproduced via fallback")
@@ -177,8 +177,8 @@ func TestPortfolioFallbackReproduces(t *testing.T) {
 			if len(rep.Attempts) != steps {
 				t.Fatalf("want a %d-step trail, got %+v", steps, rep.Attempts)
 			}
-			if a := rep.Attempts[0]; steps == 2 && (a.Solver != "sequential" || a.Outcome != "fault injected") {
-				t.Fatalf("first attempt should be the injected sequential failure: %+v", a)
+			if a := rep.Attempts[0]; steps == 2 && (a.Solver != "enumerate" || a.Outcome != "fault injected") {
+				t.Fatalf("first attempt should be the injected head-start failure: %+v", a)
 			}
 			won := rep.Attempts[steps-1]
 			if won.Solver != "cnf" || won.Outcome != "solved" {
@@ -189,12 +189,12 @@ func TestPortfolioFallbackReproduces(t *testing.T) {
 	}
 }
 
-// TestPortfolioRecoversPanic proves a panicking solver stage degrades into
-// a recorded attempt instead of killing the pipeline.
+// TestPortfolioRecoversPanic proves a panicking head start degrades into
+// a recorded attempt and a CNF solve instead of killing the pipeline.
 func TestPortfolioRecoversPanic(t *testing.T) {
 	b, _ := ByName("sim_race")
 	p := preparedFor(t, b)
-	faultinject.Enable("solver.sequential", faultinject.Failure{Panic: "injected solver panic"})
+	faultinject.Enable("solver.enumerate", faultinject.Failure{Panic: "injected solver panic"})
 	defer faultinject.Reset()
 	rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{Solver: core.Portfolio})
 	if err != nil {
@@ -203,7 +203,7 @@ func TestPortfolioRecoversPanic(t *testing.T) {
 	if !rep.Outcome.Reproduced {
 		t.Fatal("bug not reproduced after a panicking stage")
 	}
-	if rep.Attempts[0].Outcome != "panicked" {
-		t.Fatalf("panic not recorded in the trail: %+v", rep.Attempts[0])
+	if len(rep.Attempts) != 2 || rep.Attempts[0].Outcome != "panicked" || rep.Attempts[1].Solver != "cnf" {
+		t.Fatalf("want the panic, then a cnf step, in the trail: %+v", rep.Attempts)
 	}
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/solver"
 	"repro/internal/timeline"
 )
 
 // TestTimelineAndExplainGolden pins the flight-recorder acceptance over
-// every benchmark:
+// every benchmark, solved on the product path:
 //
 //   - the timeline encodes to valid Chrome trace-event JSON,
 //     byte-identical across repeated builds on the same trace,
@@ -25,11 +24,7 @@ func TestTimelineAndExplainGolden(t *testing.T) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			p := preparedFor(t, b)
-			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-				Solver:        core.Sequential,
-				SeqOptions:    solver.Options{MaxPreemptions: b.MaxPreemptions},
-				CaptureReplay: true,
-			})
+			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{CaptureReplay: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,8 +53,8 @@ type Bundle struct {
 	Program string  `json:"program"`
 	Model   string  `json:"model"`
 	Inputs  []int64 `json:"inputs,omitempty"`
-	// Solver selects the offline backend (seq|par|cnf|portfolio;
-	// empty = portfolio).
+	// Solver selects the offline backend (par|cnf|portfolio; empty and
+	// the legacy "seq" = portfolio).
 	Solver string `json:"solver,omitempty"`
 
 	// Scheduler pins of the recorded attempt (core.RehydrateSpec).
@@ -144,13 +144,14 @@ func ParseModel(name string) (vm.MemModel, error) {
 	return 0, fmt.Errorf("unknown memory model %q", name)
 }
 
-// SolverKind maps a bundle's solver name to the pipeline's solver kind.
+// SolverKind maps a solver name, a bundle's field or clap's -solver flag,
+// to the pipeline's solver kind. "seq" named the sequential search, which
+// is gone; it maps to the product path so that journaled bundles, whose
+// digest covers the name, still decode and run.
 func SolverKind(name string) (core.SolverKind, error) {
 	switch name {
-	case "", "portfolio":
+	case "", "portfolio", "seq":
 		return core.Portfolio, nil
-	case "seq":
-		return core.Sequential, nil
 	case "par":
 		return core.Parallel, nil
 	case "cnf":

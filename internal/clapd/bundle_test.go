@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -57,6 +58,49 @@ func TestDigestStable(t *testing.T) {
 		if m.Digest() == b.Digest() {
 			t.Errorf("mutating %s did not change the digest", mut.field)
 		}
+	}
+}
+
+// TestLegacySeqBundleRunsPortfolio pins what a bundle recorded with
+// solver "seq" does now that the sequential search is gone: the digest
+// covers the solver name, so the bundle must still decode to the same
+// digest (a journaled job keeps its address across a restart), and it
+// runs the product path's trail.
+func TestLegacySeqBundleRunsPortfolio(t *testing.T) {
+	b := testBundle(t)
+	b.Solver = "seq"
+	raw, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeBundle(raw, 0)
+	if err != nil {
+		t.Fatalf("a seq bundle no longer decodes: %v", err)
+	}
+	if got, want := decoded.Digest(), b.Digest(); got != want {
+		t.Fatalf("digest changed across encode/decode: %s != %s", got, want)
+	}
+	kind, err := SolverKind(decoded.Solver)
+	if err != nil || kind != core.Portfolio {
+		t.Fatalf("SolverKind(%q) = %v, %v; want the portfolio", decoded.Solver, kind, err)
+	}
+	rec, _, err := decoded.Rehydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := func(kind core.SolverKind) string {
+		rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts []string
+		for _, a := range rep.Attempts {
+			parts = append(parts, a.Solver+" "+a.Outcome)
+		}
+		return strings.Join(parts, ", ")
+	}
+	if got, want := trail(kind), trail(core.Portfolio); got != want {
+		t.Fatalf("seq bundle ran %s, the portfolio %s", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/replay"
-	"repro/internal/solver"
 	"repro/internal/symexec"
 	"repro/internal/vm"
 )
@@ -110,7 +109,10 @@ func TestCNFSolverFigure2(t *testing.T) {
 	}
 }
 
-func TestCNFSolverAgreesWithDedicated(t *testing.T) {
+// TestCNFSolverAgreesWithOracle checks CNF's verdict against the brute
+// force walk over every linear extension: a schedule exists exactly when
+// the oracle finds a valid one.
+func TestCNFSolverAgreesWithOracle(t *testing.T) {
 	srcs := map[string]string{
 		"figure2":     figure2SC,
 		"lost update": lostUpdateSC,
@@ -118,10 +120,9 @@ func TestCNFSolverAgreesWithDedicated(t *testing.T) {
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			_, sys := buildSystem(t, src, vm.SC, 3000)
-			_, _, errCNF := cnfsolver.Solve(sys, cnfsolver.Options{})
-			_, _, errSeq := solver.Solve(sys, solver.Options{MaxPreemptions: -1})
-			if (errCNF == nil) != (errSeq == nil) {
-				t.Fatalf("solver disagreement: cnf=%v, dedicated=%v", errCNF, errSeq)
+			_, _, err := cnfsolver.Solve(sys, cnfsolver.Options{})
+			if found := walkOracle(t, sys).minPreemptions >= 0; (err == nil) != found {
+				t.Fatalf("solver disagreement: cnf=%v, oracle found a schedule: %v", err, found)
 			}
 		})
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the preemption descent: the CNF session's way to the
-// paper's fewest-preemption schedule (§4.2) without the sequential
-// search's bound-by-bound enumeration.
+// paper's fewest-preemption schedule (§4.2) without enumerating the
+// schedules of each bound.
 //
 // A thread's execution chain is the part of its program order that every
 // schedule keeps: all of its SAPs under SC, its reads and synchronization
@@ -122,8 +122,8 @@ type glue struct {
 
 // SolveMinimal solves like Solve, then searches the preemption count on
 // the same session and returns the best schedule found. lower is a proof
-// the caller holds that no schedule has fewer preemptions (the bounds the
-// sequential search refuted exhaustively); pass 0 without one. The bound k
+// the caller holds that no schedule has fewer preemptions (the bounds
+// schedule.Enumerate refuted exhaustively); pass 0 without one. The bound k
 // walks up from lower, re-solving under the assumption that at most k
 // charges hold, until a bound admits a schedule, which is then minimal, or
 // k reaches the first schedule's count. Low bounds refute cheaply, so this

@@ -13,6 +13,7 @@ import (
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/oracle"
+	"repro/internal/schedule"
 	"repro/internal/solver"
 	"repro/internal/symexec"
 	"repro/internal/vm"
@@ -31,46 +32,52 @@ func usesCondvars(sys *constraints.System) bool {
 	return false
 }
 
-// checkDescent compares SolveMinimal(0) with the sequential sweep on one
-// system. Every schedule the descent returns must validate and can never
-// beat the bounds the sweep refuted exhaustively; when the sweep refuted
-// every bound below its answer and the system is SC without condition
-// variables, the descent must return exactly that minimum. It reports
-// whether the exact comparison applied.
+// checkDescent compares SolveMinimal(0) with schedule.Enumerate run to
+// its caps. Every schedule the descent returns must validate and can
+// never beat the bounds the enumeration refuted exhaustively. A schedule
+// the enumeration finds sits at that floor, so it is minimal; when the
+// system is SC without condition variables the descent must return
+// exactly as many preemptions. It reports whether that exact comparison
+// applied.
 func checkDescent(t *testing.T, name string, sys *constraints.System) bool {
 	t.Helper()
-	seq, st, err := solver.Solve(sys, solver.Options{MaxPreemptions: -1, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Logf("%s: sequential sweep: %v", name, err)
-	}
+	order, w, floor := schedule.Enumerate(sys, nil)
 	sol, _, err := cnfsolver.NewSession(sys, cnfsolver.Options{Deadline: 60 * time.Second}).SolveMinimal(0)
 	if err != nil {
 		t.Fatalf("%s: SolveMinimal: %v", name, err)
 	}
-	w, err := sys.ValidateSchedule(sol.Order)
+	v, err := sys.ValidateSchedule(sol.Order)
 	if err != nil {
 		t.Fatalf("%s: descent schedule does not validate: %v", name, err)
 	}
-	if w.Preemptions != sol.Preemptions {
-		t.Fatalf("%s: solution reports %d preemptions, witness %d", name, sol.Preemptions, w.Preemptions)
+	if v.Preemptions != sol.Preemptions {
+		t.Fatalf("%s: solution reports %d preemptions, witness %d", name, sol.Preemptions, v.Preemptions)
 	}
-	if sol.Preemptions < st.Refuted {
-		t.Fatalf("%s: descent returned %d preemptions, below the %d bounds the sweep refuted", name, sol.Preemptions, st.Refuted)
+	if sol.Preemptions < floor {
+		t.Fatalf("%s: descent returned %d preemptions, below the %d bounds the enumeration refuted", name, sol.Preemptions, floor)
 	}
-	if seq == nil || st.Refuted != seq.Preemptions || sys.Model != vm.SC || usesCondvars(sys) {
+	if order == nil {
+		t.Logf("%s: enumeration refuted %d bounds", name, floor)
 		return false
 	}
-	if sol.Preemptions != seq.Preemptions {
-		t.Errorf("%s: descent returned %d preemptions, the sequential minimum is %d", name, sol.Preemptions, seq.Preemptions)
+	if w.Preemptions != floor {
+		t.Fatalf("%s: enumeration returned %d preemptions at bound %d", name, w.Preemptions, floor)
+	}
+	if sys.Model != vm.SC || usesCondvars(sys) {
+		return false
+	}
+	if sol.Preemptions != floor {
+		t.Errorf("%s: descent returned %d preemptions, the enumerated minimum is %d", name, sol.Preemptions, floor)
 	}
 	return true
 }
 
-// TestDescentMatchesSequentialMinimum is the descent's differential test
+// TestDescentMatchesEnumeratorMinimum is the descent's differential test
 // over the SC evaluation programs, three recordings each; those with
-// condition variables, and those the sweep cannot finish in its budget
-// (apache and racey), only check validity and the refuted floor.
-func TestDescentMatchesSequentialMinimum(t *testing.T) {
+// condition variables, and those whose minimum lies past the
+// enumeration's caps (apache and racey), only check validity and the
+// refuted floor.
+func TestDescentMatchesEnumeratorMinimum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records every SC evaluation program")
 	}
@@ -99,9 +106,9 @@ func TestDescentMatchesSequentialMinimum(t *testing.T) {
 		}
 	}
 	// sim_race, swarm and pfscan alone give nine exact comparisons, each
-	// swept in milliseconds even under the race detector.
+	// enumerated in milliseconds even under the race detector.
 	if exact < 8 {
-		t.Fatalf("only %d recordings compared exactly; the sweep refuted too few bounds", exact)
+		t.Fatalf("only %d recordings compared exactly; the enumeration found too few schedules", exact)
 	}
 	t.Logf("%d recordings compared exactly", exact)
 }
@@ -525,11 +532,11 @@ func oracleSystems(t *testing.T) []namedSystem {
 // against the fewest preemptions over every valid schedule, on the
 // systems of oracleSystems. Without condition variables SolveMinimal(0)
 // must reach that minimum under every memory model, and the charges must
-// be exact there (chargesExact). The sequential search is exact on every
+// be exact there (chargesExact). schedule.Enumerate is exact on every
 // model, so whenever it returns a schedule it must sit at the minimum.
 func TestDescentMatchesOracleMinimum(t *testing.T) {
 	systems := oracleSystems(t)
-	exact, relaxed, sequential := 0, 0, 0
+	exact, relaxed, enumerated := 0, 0, 0
 	for _, c := range systems {
 		want := walkOracle(t, c.sys).minPreemptions
 		if want < 0 {
@@ -555,19 +562,19 @@ func TestDescentMatchesOracleMinimum(t *testing.T) {
 		default:
 			relaxed++
 		}
-		seq, _, err := solver.Solve(c.sys, solver.Options{MaxPreemptions: -1, Deadline: 2 * time.Second})
-		if err != nil {
+		order, w, _ := schedule.Enumerate(c.sys, nil)
+		if order == nil {
 			continue
 		}
-		if seq.Preemptions != want {
-			t.Errorf("%s: sequential search returned %d preemptions, the oracle minimum is %d", c.name, seq.Preemptions, want)
+		if w.Preemptions != want {
+			t.Errorf("%s: enumeration returned %d preemptions, the oracle minimum is %d", c.name, w.Preemptions, want)
 		}
-		sequential++
+		enumerated++
 	}
-	if exact < 6 || relaxed < 20 || 2*sequential < len(systems) {
-		t.Fatalf("compared %d SC and %d TSO/PSO descents and %d of %d sequential searches; too few", exact, relaxed, sequential, len(systems))
+	if exact < 6 || relaxed < 20 || 2*enumerated < len(systems) {
+		t.Fatalf("compared %d SC and %d TSO/PSO descents and %d of %d enumerations; too few", exact, relaxed, enumerated, len(systems))
 	}
-	t.Logf("compared %d SC and %d TSO/PSO descents and %d sequential searches with the oracle minimum", exact, relaxed, sequential)
+	t.Logf("compared %d SC and %d TSO/PSO descents and %d enumerations with the oracle minimum", exact, relaxed, enumerated)
 }
 
 // storeForwardTSO is the store-buffer draw oracle.Program leaves out:

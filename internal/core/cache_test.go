@@ -56,9 +56,8 @@ func cacheCounters(t *testing.T, rec *Recording, cache *DiskCache) (hit, miss in
 	t.Helper()
 	tr := obs.NewTrace("test")
 	rep, err := Reproduce(rec, ReproduceOptions{
-		Solver: Sequential,
-		Cache:  cache,
-		Obs:    tr,
+		Cache: cache,
+		Obs:   tr,
 	})
 	if err != nil {
 		t.Fatalf("reproduce: %v", err)
@@ -156,13 +155,13 @@ func TestCacheRecordsSolvingAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if by := solvedBy(rep.Attempts); by != "sequential" {
-		t.Fatalf("solving attempt %q, want sequential: %+v", by, rep.Attempts)
+	if by := solvedBy(rep.Attempts); by != "enumerate" {
+		t.Fatalf("solving attempt %q, want enumerate: %+v", by, rep.Attempts)
 	}
-	if _, by := cache.LoadSchedule(rec.ContentKey()); by != "sequential" {
-		t.Fatalf("cache attributes the schedule to %q, want sequential", by)
+	if _, by := cache.LoadSchedule(rec.ContentKey()); by != "enumerate" {
+		t.Fatalf("cache attributes the schedule to %q, want enumerate", by)
 	}
-	trail := []SolverAttempt{{Solver: "sequential", Outcome: "interrupted"}, {Solver: "cnf", Outcome: "solved"}}
+	trail := []SolverAttempt{{Solver: "enumerate", Outcome: "interrupted"}, {Solver: "cnf", Outcome: "solved"}}
 	if by := solvedBy(trail); by != "cnf" {
 		t.Fatalf("solvedBy(%+v) = %q, want cnf", trail, by)
 	}

@@ -2,13 +2,12 @@
 // Figure 1 of the paper:
 //
 //	record (thread-local paths) → decode → symbolic execution →
-//	constraint encoding → solving (sequential or parallel) → replay.
+//	constraint encoding → solving → replay.
 //
 // It is the library's primary entry point: give it a mini-language program
 // and it produces a recording of a failing execution, a constraint system,
-// a bug-reproducing schedule with (heuristically) minimal preemptions, and
-// a verified deterministic replay. The top-level clap package re-exports
-// this API.
+// a bug-reproducing schedule with minimal preemptions, and a verified
+// deterministic replay. The top-level clap package re-exports this API.
 package core
 
 import (
@@ -416,36 +415,31 @@ func (r *Recording) Analyze() (*constraints.System, error) {
 	return constraints.Build(an, r.Model)
 }
 
-// SolverKind selects the solving strategy.
+// SolverKind selects the solving strategy. The zero value is the product
+// path, Portfolio.
 type SolverKind uint8
 
 // Solver kinds.
 const (
-	// Sequential is the decision-procedure solver with minimal-preemption
-	// iteration (internal/solver).
-	Sequential SolverKind = iota
+	// Portfolio runs on the caller's goroutine (see portfolio.go). For an
+	// SC recording it enumerates schedules of up to three preemptions for
+	// a 20 ms head start, then runs CNF with the rest of the budget,
+	// starting from the bounds the head start refuted. A TSO/PSO
+	// recording starts at CNF. It records a per-attempt trail; a panic or
+	// injected fault in the head start degrades to CNF instead of killing
+	// the pipeline.
+	Portfolio SolverKind = iota
 	// Parallel is the generate-and-validate worker pool (internal/parsolve).
 	Parallel
 	// CNF is the SAT encoding with a CDCL core (internal/cnfsolver),
 	// searching the bound to the fewest preemptions, which a refuted
 	// bound proves.
 	CNF
-	// Portfolio runs on the caller's goroutine (see portfolio.go). For an
-	// SC recording it runs Sequential for a 20 ms head start, then CNF
-	// with the rest of the budget, starting from the bounds the head
-	// start refuted, then Sequential again if CNF failed before the
-	// deadline without an unsat proof. For a TSO/PSO recording it starts
-	// at CNF and falls back to Sequential on the same terms. It records a
-	// per-attempt trail; a panic or injected fault in one step degrades
-	// to the next instead of killing the pipeline.
-	Portfolio
 )
 
 // String names the kind for traces and CLI output.
 func (k SolverKind) String() string {
 	switch k {
-	case Sequential:
-		return "sequential"
 	case Parallel:
 		return "parallel"
 	case CNF:
@@ -459,8 +453,6 @@ func (k SolverKind) String() string {
 // ReproduceOptions configures the offline phases.
 type ReproduceOptions struct {
 	Solver SolverKind
-	// Sequential solver tuning.
-	SeqOptions solver.Options
 	// SkipReplay computes the schedule without the final replay run.
 	SkipReplay bool
 	// CaptureReplay collects the replay's visible events into
@@ -480,8 +472,7 @@ type ReproduceOptions struct {
 	// Ctx cancels the offline phases (nil = never).
 	Ctx context.Context
 	// Deadline bounds the whole offline pipeline (0 = none). The remaining
-	// budget is threaded through solving and replay; a deadline in
-	// SeqOptions still applies and the earlier bound wins.
+	// budget is threaded through solving and replay.
 	Deadline time.Duration
 	// Obs, when set, is the trace the pipeline's spans and metrics attach
 	// to (typically shared with RecordOptions.Obs so one report covers the
@@ -498,8 +489,6 @@ type Reproduction struct {
 	Solution  *solver.Solution
 	// Parallel holds the parallel-solver statistics when that solver ran.
 	Parallel *parsolve.Result
-	// SeqStats holds the sequential-solver statistics when that solver ran.
-	SeqStats *solver.Stats
 	// CNFStats holds the CNF-solver statistics when that solver ran.
 	CNFStats *cnfsolver.Stats
 	// Attempts is the per-solver attempt trail: which solvers ran, how
@@ -630,12 +619,10 @@ func solveStage(rep *Reproduction, sys *constraints.System, opts ReproduceOption
 	var sol *solver.Solution
 	var att SolverAttempt
 	switch opts.Solver {
-	case Sequential:
-		sol, att = seqStage(rep, sys, seqOptions(opts, deadline), sp)
 	case Parallel:
 		reg := rep.Trace.Reg()
 		parOpts := parOptions(opts, deadline)
-		wireProgress(reg, nil, &parOpts, nil)
+		wireProgress(reg, &parOpts, nil)
 		sol, att = runSolverStage(reg, "parallel", sp, func() (*solver.Solution, int, error) {
 			res, err := parsolve.Solve(sys, parOpts)
 			rep.Parallel = res
@@ -703,22 +690,6 @@ func parallelFailure(res *parsolve.Result) error {
 	}
 	return fmt.Errorf("parallel solver found no schedule (generated %d, capped=%v)",
 		res.Generated, res.Capped)
-}
-
-func boundOf(stats *solver.Stats) int {
-	if stats == nil {
-		return -1
-	}
-	return stats.BoundReached
-}
-
-// refutedOf is how many leading preemption bounds the sequential search
-// refuted exhaustively (0 when it did not run): the CNF search's floor.
-func refutedOf(stats *solver.Stats) int {
-	if stats == nil {
-		return 0
-	}
-	return stats.Refuted
 }
 
 // ReproduceSource is the one-call convenience API: compile, record, solve,

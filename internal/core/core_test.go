@@ -58,7 +58,7 @@ func TestSpawnedMainReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []SolverKind{Portfolio, Sequential, CNF} {
+	for _, kind := range []SolverKind{Portfolio, CNF} {
 		rep, err := Reproduce(rec, ReproduceOptions{Solver: kind})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -69,10 +69,10 @@ func TestSpawnedMainReproduces(t *testing.T) {
 	}
 }
 
-func TestEndToEndFigure2Sequential(t *testing.T) {
+func TestEndToEndFigure2(t *testing.T) {
 	rep, err := ReproduceSource(figure2SC,
 		RecordOptions{Model: vm.SC, SeedLimit: 3000},
-		ReproduceOptions{Solver: Sequential},
+		ReproduceOptions{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func main() {
 	join(h);
 }
 `
-	for _, solverKind := range []SolverKind{Sequential, Parallel} {
+	for _, solverKind := range []SolverKind{Portfolio, Parallel} {
 		rep, err := ReproduceSource(src,
 			RecordOptions{Model: vm.PSO, SeedLimit: 3000},
 			ReproduceOptions{Solver: solverKind},
@@ -181,7 +181,7 @@ func main() {
 func TestEndToEndTSODekker(t *testing.T) {
 	rep, err := ReproduceSource(dekkerTSOSrc,
 		RecordOptions{Model: vm.TSO, SeedLimit: 3000},
-		ReproduceOptions{Solver: Sequential},
+		ReproduceOptions{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +191,12 @@ func TestEndToEndTSODekker(t *testing.T) {
 	}
 }
 
+// TestEndToEndLockedProgram reproduces two lock-serialized failures: an
+// entry order between two workers, and the ordinary outcome of three
+// increments (main's among them) under one mutex.
 func TestEndToEndLockedProgram(t *testing.T) {
-	src := `
+	for name, src := range map[string]string{
+		"entry order": `
 int c;
 int order;
 mutex m;
@@ -213,16 +217,42 @@ func main() {
 	int o = order;
 	assert(o != 2, "worker 2 entered first");
 }
-`
-	rep, err := ReproduceSource(src,
-		RecordOptions{Model: vm.SC, SeedLimit: 3000},
-		ReproduceOptions{Solver: Sequential},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("lock-ordering bug not reproduced")
+`,
+		"three increments": `
+int c;
+mutex m;
+func worker() {
+	lock(m);
+	int t = c;
+	c = t + 1;
+	unlock(m);
+}
+func main() {
+	int h1;
+	int h2;
+	h1 = spawn worker();
+	h2 = spawn worker();
+	lock(m);
+	int t = c;
+	c = t + 1;
+	unlock(m);
+	join(h1);
+	join(h2);
+	int v = c;
+	assert(v != 3, "all three increments landed");
+}
+`,
+	} {
+		rep, err := ReproduceSource(src,
+			RecordOptions{Model: vm.SC, SeedLimit: 3000},
+			ReproduceOptions{},
+		)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !rep.Outcome.Reproduced {
+			t.Fatalf("%s: lock-serialized bug not reproduced", name)
+		}
 	}
 }
 
@@ -253,7 +283,7 @@ func main() {
 `
 	rep, err := ReproduceSource(src,
 		RecordOptions{Model: vm.SC, SeedLimit: 2000},
-		ReproduceOptions{Solver: Sequential},
+		ReproduceOptions{},
 	)
 	if err != nil {
 		t.Skipf("condvar bug did not trigger or solve: %v", err)
@@ -283,7 +313,7 @@ func TestRecordingRequiresFailure(t *testing.T) {
 func TestLogSizeReported(t *testing.T) {
 	rep, err := ReproduceSource(figure2SC,
 		RecordOptions{Model: vm.SC, SeedLimit: 3000},
-		ReproduceOptions{Solver: Sequential, SkipReplay: true},
+		ReproduceOptions{SkipReplay: true},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@ package core
 
 import "time"
 
-// SetSeqHeadStart pins the ladder's sequential head start and returns a
+// SetHeadStart pins the ladder's enumeration head start and returns a
 // function that restores it, so ladder tests do not depend on how fast
-// the machine runs the sequential search.
-func SetSeqHeadStart(d time.Duration) (restore func()) {
-	old := seqHeadStart
-	seqHeadStart = d
-	return func() { seqHeadStart = old }
+// the machine enumerates.
+func SetHeadStart(d time.Duration) (restore func()) {
+	old := enumHeadStart
+	enumHeadStart = d
+	return func() { enumHeadStart = old }
 }

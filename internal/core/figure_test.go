@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cnfsolver"
 	"repro/internal/constraints"
-	"repro/internal/solver"
 	"repro/internal/symexec"
 	"repro/internal/vm"
 )
@@ -48,7 +48,7 @@ func main() {
 func TestFigure2AssertOneUnderSC(t *testing.T) {
 	rep, err := ReproduceSource(figure2Full,
 		RecordOptions{Model: vm.SC, SeedLimit: 5000},
-		ReproduceOptions{Solver: Sequential})
+		ReproduceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFigure2AssertTwoModelSeparation(t *testing.T) {
 	// Fails and reproduces under PSO.
 	rep, err := ReproduceSource(figure2PSO,
 		RecordOptions{Model: vm.PSO, SeedLimit: 5000},
-		ReproduceOptions{Solver: Sequential})
+		ReproduceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFigure4MinimalContextSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minSol, _, err := solver.Solve(sys, solver.Options{MaxPreemptions: -1})
+	minSol, _, err := cnfsolver.NewSession(sys, cnfsolver.Options{}).SolveMinimal(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // explainability reports from a Reproduction. The timeline and explain
 // packages are pipeline-agnostic (they never import core); this file is
 // where the pipeline's pieces — the recorded seed re-run, the solved
-// schedule with its witness, the replay capture, and the losing solver
-// attempts' partial orders — are gathered into their inputs.
+// schedule with its witness and the replay capture — are gathered into
+// their inputs.
 package core
 
 import (
@@ -16,17 +16,12 @@ import (
 
 // BuildTimeline assembles the flight-recorder timeline for a reproduction:
 // the recorded interleaving (reconstructed by re-running the winning
-// seed), the solved SAP schedule annotated with race-flip arrows, the
-// replay's event capture when Reproduce ran with CaptureReplay, and — when
-// the sequential solver lost or was interrupted with
-// SeqOptions.CapturePartial set — its deepest partial order. The
-// portfolio runs the sequential solver on a TSO/PSO recording only after
-// a CNF failure other than an unsatisfiability proof or the deadline, so
-// a relaxed solve that ends in CNF has no such lane. program is the
-// display name (benchmark or source file).
+// seed), the solved SAP schedule annotated with race-flip arrows, and the
+// replay's event capture when Reproduce ran with CaptureReplay. program
+// is the display name (benchmark or source file).
 //
 // Every lane is optional except the recorded one: a timeline of a failed
-// solve still shows what was recorded and how far the search got.
+// solve shows what was recorded.
 func (rep *Reproduction) BuildTimeline(program string) (*timeline.Timeline, error) {
 	rec := rep.Recording
 	if rec == nil {
@@ -50,12 +45,6 @@ func (rep *Reproduction) BuildTimeline(program string) (*timeline.Timeline, erro
 			addFlipArrows(ex, rep.System, rep.Solution.Order, d)
 		}
 		tl.Execs = append(tl.Execs, ex)
-	} else if rep.System != nil {
-		// No solution: show the sequential attempt's deepest partial order
-		// instead, when one was captured.
-		if ex := timeline.FromPartial("attempt:sequential", rep.System, rep.SeqStats); ex != nil {
-			tl.Execs = append(tl.Execs, ex)
-		}
 	}
 
 	if rep.Outcome != nil && len(rep.Outcome.Events) > 0 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/solver"
 	"repro/internal/timeline"
 	"repro/internal/vm"
 )
@@ -15,14 +14,7 @@ func flightRep(t *testing.T) *Reproduction {
 	t.Helper()
 	rep, err := ReproduceSource(figure2SC,
 		RecordOptions{Model: vm.SC, SeedLimit: 3000},
-		ReproduceOptions{
-			Solver: Sequential,
-			// A bound above the generator's (3) forces the backtracking
-			// search (the generate-and-validate fast path never builds a
-			// partial order), so CapturePartial has something to capture.
-			SeqOptions:    solver.Options{CapturePartial: true, MaxPreemptions: 4},
-			CaptureReplay: true,
-		},
+		ReproduceOptions{CaptureReplay: true},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -76,22 +68,6 @@ func TestBuildTimelineLanes(t *testing.T) {
 	if len(tl.Execs[0].Arrows) == 0 {
 		t.Error("recorded lane has no spawn/join arrows")
 	}
-
-	// A failed solve falls back to the sequential attempt's partial-order
-	// lane (captured because SeqOptions.CapturePartial was set).
-	noSol := *rep
-	noSol.Solution = nil
-	tl2, err := noSol.BuildTimeline("figure2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	names = names[:0]
-	for _, ex := range tl2.Execs {
-		names = append(names, ex.Name)
-	}
-	if len(names) < 2 || names[1] != "attempt:sequential" {
-		t.Fatalf("failed-solve lanes = %v, want attempt:sequential second", names)
-	}
 }
 
 func TestScheduleDiffRequiresSolution(t *testing.T) {
@@ -112,11 +88,8 @@ func TestScheduleDiffRequiresSolution(t *testing.T) {
 }
 
 // TestBuildTimelineFailedRelaxedSolve pins what the timeline of a failed
-// portfolio solve shows on a TSO recording. The ladder starts there at
-// CNF, and the sequential search runs only after a CNF failure other
-// than an unsatisfiability proof or the shared deadline, so a solve cut
-// off in CNF has no sequential attempt and no partial-order lane, though
-// CapturePartial is set: the recorded lane alone.
+// portfolio solve shows on a TSO recording, where the ladder starts at
+// CNF: one cnf attempt, and the recorded lane alone.
 func TestBuildTimelineFailedRelaxedSolve(t *testing.T) {
 	prog, err := Compile(dekkerTSOSrc)
 	if err != nil {
@@ -128,19 +101,12 @@ func TestBuildTimelineFailedRelaxedSolve(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := Reproduce(rec, ReproduceOptions{
-		Solver:     Portfolio,
-		Ctx:        ctx,
-		SeqOptions: solver.Options{CapturePartial: true},
-	})
+	rep, err := Reproduce(rec, ReproduceOptions{Ctx: ctx})
 	if err == nil {
 		t.Fatal("a cancelled portfolio solve succeeded")
 	}
 	if len(rep.Attempts) != 1 || rep.Attempts[0].Solver != "cnf" {
 		t.Fatalf("attempts = %+v, want one cnf attempt", rep.Attempts)
-	}
-	if rep.SeqStats != nil {
-		t.Fatal("sequential stats without a sequential attempt")
 	}
 	tl, err := rep.BuildTimeline("dekker")
 	if err != nil {

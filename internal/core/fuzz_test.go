@@ -26,7 +26,7 @@ func TestPropertyPipelineOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			continue // this variant never failed
 		}
-		for _, kind := range []SolverKind{Sequential, Parallel} {
+		for _, kind := range []SolverKind{Portfolio, Parallel} {
 			rep, err := Reproduce(rec, ReproduceOptions{Solver: kind})
 			if err != nil {
 				t.Fatalf("trial %d solver %d: %v\n%s", trial, kind, err, src)
@@ -90,7 +90,7 @@ func main() {
 		if err != nil {
 			continue
 		}
-		rep, err := Reproduce(rec, ReproduceOptions{Solver: Sequential})
+		rep, err := Reproduce(rec, ReproduceOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}

@@ -3,6 +3,7 @@
 package core_test
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/oracle"
+	"repro/internal/schedule"
 	"repro/internal/vm"
 )
 
@@ -39,7 +41,7 @@ func trail(attempts []core.SolverAttempt) string {
 }
 
 // TestPortfolioLadderTrail pins the ladder's attempt trail: an SC system
-// the sequential search solves within its head start stops there, and a
+// the enumeration solves within its head start stops there, and a
 // TSO/PSO one (dekker) starts at CNF. Either way the trail ends at the
 // attempt that solved. sim_race's head start is pinned far above its
 // solve time, even under the race detector, so the trail does not depend
@@ -49,11 +51,11 @@ func TestPortfolioLadderTrail(t *testing.T) {
 		name string
 		want string
 	}{
-		{"sim_race", "sequential solved"},
+		{"sim_race", "enumerate solved"},
 		{"dekker", "cnf solved"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer core.SetSeqHeadStart(time.Minute)()
+			defer core.SetHeadStart(time.Minute)()
 			rep, err := core.Reproduce(prepare(t, tc.name).Recording, core.ReproduceOptions{Solver: core.Portfolio})
 			if err != nil {
 				t.Fatal(err)
@@ -64,27 +66,23 @@ func TestPortfolioLadderTrail(t *testing.T) {
 			if got := trail(rep.Attempts); got != tc.want {
 				t.Fatalf("attempt trail: %s, want %s", got, tc.want)
 			}
-			if rep.Attempts[0].Solver == "sequential" && rep.SeqStats == nil {
-				t.Fatal("sequential stats missing from the report")
-			}
 		})
 	}
 }
 
-// TestPortfolioRelaxedFallsBackToSequential injects a CNF fault on a TSO
-// recording: the sequential search runs next, with what remains of the
-// deadline. The sequential search needs tens of seconds on dekker, so the
-// check is the trail's shape, not a solve.
-func TestPortfolioRelaxedFallsBackToSequential(t *testing.T) {
+// TestPortfolioRelaxedCNFFaultFails injects a CNF fault on a TSO
+// recording, where CNF is the only step: the ladder ends at once with an
+// error that wraps the fault.
+func TestPortfolioRelaxedCNFFaultFails(t *testing.T) {
 	rec := prepare(t, "dekker").Recording
 	faultinject.Fail("solver.cnf")
 	defer faultinject.Reset()
-	rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Portfolio, Deadline: 300 * time.Millisecond})
-	if rep == nil {
-		t.Fatalf("no report: %v", err)
+	rep, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Portfolio, Deadline: time.Minute})
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("want an error wrapping the injected fault, got %v", err)
 	}
-	if len(rep.Attempts) != 2 || trail(rep.Attempts[:1]) != "cnf fault injected" || rep.Attempts[1].Solver != "sequential" {
-		t.Fatalf("attempt trail: %s, want cnf fault injected, then a sequential step (err %v)", trail(rep.Attempts), err)
+	if got := trail(rep.Attempts); got != "cnf fault injected" {
+		t.Fatalf("attempt trail: %s, want cnf fault injected", got)
 	}
 }
 
@@ -143,14 +141,20 @@ func TestPortfolioRelaxedOracleMinimum(t *testing.T) {
 
 // TestPortfolioIgnoresCoreCount checks that the portfolio's answer does not
 // depend on the number of cores: with the head start pinned above
-// sim_race's solve time, the ladder returns the sequential search's
-// minimal schedule at one core and at four.
+// sim_race's solve time, the ladder returns the enumeration's minimal
+// schedule at one core and at four.
 func TestPortfolioIgnoresCoreCount(t *testing.T) {
-	defer core.SetSeqHeadStart(time.Minute)()
-	rec := prepare(t, "sim_race").Recording
-	seq, err := core.Reproduce(rec, core.ReproduceOptions{Solver: core.Sequential})
+	defer core.SetHeadStart(time.Minute)()
+	p := prepare(t, "sim_race")
+	rec := p.Recording
+	sys, err := rec.Analyze()
 	if err != nil {
 		t.Fatal(err)
+	}
+	sys.Preprocess()
+	order, w, floor := schedule.Enumerate(sys, nil)
+	if order == nil || w.Preemptions != floor {
+		t.Fatalf("enumeration did not reach a minimal schedule (floor %d)", floor)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
@@ -159,11 +163,11 @@ func TestPortfolioIgnoresCoreCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if rep.Solution.Preemptions != seq.Solution.Preemptions {
-			t.Errorf("GOMAXPROCS=%d: portfolio schedule has %d preemptions, sequential %d",
-				procs, rep.Solution.Preemptions, seq.Solution.Preemptions)
+		if rep.Solution.Preemptions != floor {
+			t.Errorf("GOMAXPROCS=%d: portfolio schedule has %d preemptions, the minimum is %d",
+				procs, rep.Solution.Preemptions, floor)
 		}
-		if got := trail(rep.Attempts); got != "sequential solved" {
+		if got := trail(rep.Attempts); got != "enumerate solved" {
 			t.Errorf("GOMAXPROCS=%d: attempt trail: %s", procs, got)
 		}
 	}

@@ -1,10 +1,11 @@
 // Observability glue: the pipeline's stats structs (LevelStats, the
-// constraint/preprocess accounting, the three solvers' counters) are
-// consolidated into one obs.Registry under the stable dotted names of
-// obs.StableNames, and the solvers' plain Progress callbacks are wired to
-// registry gauges so a heartbeat can watch a live solve. Everything here
-// is nil-safe: with no registry the emitters are no-ops and no progress
-// callbacks are installed, so an uninstrumented run pays nothing.
+// constraint/preprocess accounting, the parallel and CNF solvers'
+// counters) are consolidated into one obs.Registry under the stable
+// dotted names of obs.StableNames, and the solvers' plain Progress
+// callbacks are wired to registry gauges so a heartbeat can watch a live
+// solve. Everything here is nil-safe: with no registry the emitters are
+// no-ops and no progress callbacks are installed, so an uninstrumented
+// run pays nothing.
 package core
 
 import (
@@ -88,17 +89,6 @@ func emitPreStats(reg *obs.Registry, st *constraints.PreStats) {
 // republish cumulative snapshots while a solve runs, and the final stats
 // overwrite them with the settled values when it ends.
 
-func emitSeqStats(reg *obs.Registry, st *solver.Stats) {
-	if reg == nil || st == nil {
-		return
-	}
-	reg.Gauge("solver.seq.decisions").Set(st.Decisions)
-	reg.Gauge("solver.seq.backtracks").Set(st.Backtracks)
-	reg.Gauge("solver.seq.extensions").Set(st.Extensions)
-	reg.Gauge("solver.seq.validations").Set(st.Validations)
-	reg.Gauge("solver.seq.bound").Set(int64(st.BoundReached))
-}
-
 func emitParResult(reg *obs.Registry, res *parsolve.Result) {
 	if reg == nil || res == nil {
 		return
@@ -163,14 +153,12 @@ func emitReplay(reg *obs.Registry, out *replay.Outcome) {
 }
 
 // wireProgress installs registry-publishing progress callbacks into the
-// three solvers' options. Caller-supplied callbacks win; with no registry
-// nothing is installed and the solvers skip the sampling entirely.
-func wireProgress(reg *obs.Registry, seq *solver.Options, par *parsolve.Options, cnf *cnfsolver.Options) {
+// parallel and CNF solvers' options. Caller-supplied callbacks win; with
+// no registry nothing is installed and the solvers skip the sampling
+// entirely.
+func wireProgress(reg *obs.Registry, par *parsolve.Options, cnf *cnfsolver.Options) {
 	if reg == nil {
 		return
-	}
-	if seq != nil && seq.Progress == nil {
-		seq.Progress = func(st solver.Stats) { emitSeqStats(reg, &st) }
 	}
 	if par != nil && par.Progress == nil {
 		par.Progress = func(p parsolve.Progress) {

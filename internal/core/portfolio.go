@@ -1,36 +1,28 @@
-// Solver portfolio: CLAP ships three decision procedures (the sequential
-// minimal-preemption search, the parallel generate-and-validate pool, and
-// the CNF/CDCL encoding) with complementary strengths — §4 of the paper
-// compares them benchmark by benchmark. The portfolio combines the two
-// that cover every benchmark into a ladder that runs on the caller's
-// goroutine. The recording's memory model picks where it starts:
+// Solver portfolio: the product path is a ladder of two steps on the
+// caller's goroutine, each with complementary strengths (§4 of the paper
+// compares its solvers benchmark by benchmark). The recording's memory
+// model picks where it starts:
 //
-//  1. under SC, the sequential search, whose schedules have minimal
-//     preemptions (§4.2), runs for a head start of min(20 ms, a fifth of
-//     the remaining deadline) — long enough for the data-race systems it
-//     solves in milliseconds. Under TSO/PSO there is no head start: the
-//     sequential search never solved a relaxed benchmark recording inside
-//     one;
-//  2. CNF, which solves the systems that defeat the sequential search (the
-//     mutual-exclusion spin loops) in milliseconds, gets the rest of the
-//     budget. It searches for the fewest preemptions
+//  1. under SC, preemption-bounded generate-and-validate
+//     (schedule.Enumerate, §4.3) runs for a head start of min(20 ms, a
+//     fifth of the remaining deadline) over the bounds 0..3, long enough
+//     for the data-race systems it solves in milliseconds. A schedule it
+//     finds at a bound it reached by refuting every lower one is minimal
+//     (§4.2). Under TSO/PSO there is no head start;
+//  2. CNF, which solves the systems that defeat enumeration (the
+//     mutual-exclusion spin loops, the stress tests) in milliseconds, gets
+//     the rest of the budget. It searches for the fewest preemptions
 //     (cnfsolver.Session.SolveMinimal), walking the bound up from the
-//     number of leading bounds the head start refuted exhaustively
-//     (solver.Stats.Refuted) — no schedule has fewer — until one admits a
-//     schedule, which a refuted bound below proves minimal under every
-//     memory model;
-//  3. if CNF fails for a reason other than the shared deadline — its
-//     200-round value-theory budget ran out, or it panicked or had a fault
-//     injected — the sequential search runs with what remains: under SC
-//     only when the head start was cut short, under TSO/PSO always. A CNF
-//     proof of unsatisfiability (cnfsolver.Unsat) ends the ladder instead:
-//     no schedule exists for the sequential search to find.
+//     number of leading bounds the head start refuted exhaustively — no
+//     schedule has fewer — until one admits a schedule, which a refuted
+//     bound below proves minimal under every memory model.
 //
 // The answer therefore does not depend on the number of cores. A step
 // that is interrupted, finds nothing, errors, or panics is recorded in the
-// attempt trail, which ends at the step that solved, so a reproduction
-// that needed a fallback says which step failed and why. The parallel
-// solver is not a step; it stays available as its own SolverKind.
+// attempt trail, which ends at the step that solved; a failed head start
+// degrades to CNF, and a failed CNF step ends the ladder with an error
+// that names both steps and wraps CNF's. The parallel solver is not a
+// step; it stays available as its own SolverKind.
 package core
 
 import (
@@ -45,24 +37,22 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/parsolve"
+	"repro/internal/schedule"
 	"repro/internal/solver"
 	"repro/internal/vm"
 )
 
-// Default per-step budgets when the caller supplies no deadline: each
-// step is always bounded so the portfolio can never hang in one step.
-const (
-	defaultSeqBudget = 10 * time.Second
-	defaultCNFBudget = 60 * time.Second
-)
+// defaultCNFBudget bounds the CNF step when the caller supplies no
+// deadline, so the portfolio can never hang in it.
+const defaultCNFBudget = 60 * time.Second
 
-// seqHeadStart caps the sequential search's first step. A variable only
-// so tests can pin it.
-var seqHeadStart = 20 * time.Millisecond
+// enumHeadStart caps the enumeration head start. A variable only so tests
+// can pin it.
+var enumHeadStart = 20 * time.Millisecond
 
 // SolverAttempt records one solver stage's outcome in the attempt trail.
 type SolverAttempt struct {
-	// Solver names the stage: "sequential", "parallel" or "cnf".
+	// Solver names the stage: "enumerate", "parallel" or "cnf".
 	Solver string
 	// Elapsed is the stage's wall time.
 	Elapsed time.Duration
@@ -155,17 +145,36 @@ func runSolverStage(reg *obs.Registry, name string, parent *obs.Span, fn func() 
 	return s, att
 }
 
-// seqStage runs the sequential solver as one attempt, keeping its
-// statistics in rep.
-func seqStage(rep *Reproduction, sys *constraints.System, o solver.Options, sp *obs.Span) (*solver.Solution, SolverAttempt) {
-	reg := rep.Trace.Reg()
-	wireProgress(reg, &o, nil, nil)
-	return runSolverStage(reg, "sequential", sp, func() (*solver.Solution, int, error) {
-		s, stats, err := solver.Solve(sys, o)
-		rep.SeqStats = stats
-		emitSeqStats(reg, stats)
-		return s, boundOf(stats), err
+// enumStage runs the head start as one attempt: schedule.Enumerate on
+// sys until the head-start budget or the caller's context stops it. It
+// returns the schedule it found, or the number of leading bounds it
+// refuted, which is where CNF starts.
+func enumStage(ctx context.Context, rep *Reproduction, sys *constraints.System, budget time.Duration, sp *obs.Span) (*solver.Solution, int, SolverAttempt) {
+	end := time.Now().Add(budget)
+	var why string
+	stop := func() bool {
+		switch {
+		case ctx != nil && ctx.Err() != nil:
+			why = ctx.Err().Error()
+		case time.Now().After(end):
+			why = "deadline exceeded"
+		}
+		return why != ""
+	}
+	floor := 0
+	sol, att := runSolverStage(rep.Trace.Reg(), "enumerate", sp, func() (*solver.Solution, int, error) {
+		order, w, f := schedule.Enumerate(sys, stop)
+		floor = f
+		bound := min(f, schedule.EnumerateBound)
+		switch {
+		case order != nil:
+			return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, bound, nil
+		case why != "":
+			return nil, bound, &solver.Interrupted{Reason: why, Bound: bound}
+		}
+		return nil, bound, nil
 	})
+	return sol, floor, att
 }
 
 // cnfStage runs the CNF solver as one attempt, keeping its statistics in
@@ -175,7 +184,7 @@ func seqStage(rep *Reproduction, sys *constraints.System, o solver.Options, sp *
 // search assumed.
 func cnfStage(rep *Reproduction, sys *constraints.System, o cnfsolver.Options, lower int, sp *obs.Span) (*solver.Solution, SolverAttempt) {
 	reg := rep.Trace.Reg()
-	wireProgress(reg, nil, nil, &o)
+	wireProgress(reg, nil, &o)
 	return runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
 		s, stats, err := cnfsolver.NewSession(sys, o).SolveMinimal(lower)
 		rep.CNFStats = stats
@@ -199,23 +208,6 @@ func attemptError(prefix string, att SolverAttempt) error {
 		return fmt.Errorf("%s: %s solver: %w", prefix, att.Solver, att.err)
 	}
 	return fmt.Errorf("%s: %s solver %s", prefix, att.Solver, att.Outcome)
-}
-
-// seqOptions wires opts.SeqOptions to the pipeline context and the
-// remaining deadline (an existing tighter bound wins), in
-// minimal-preemption mode unless the caller set a bound.
-func seqOptions(opts ReproduceOptions, deadline time.Time) solver.Options {
-	o := opts.SeqOptions
-	if o.MaxPreemptions == 0 {
-		// Default to minimal-preemption mode; an exact zero bound is
-		// available through the solver package directly.
-		o.MaxPreemptions = -1
-	}
-	if o.Ctx == nil {
-		o.Ctx = opts.Ctx
-	}
-	capBudget(&o.Deadline, remaining(deadline))
-	return o
 }
 
 // cnfOptions wires the CNF solver to the pipeline context and the
@@ -243,21 +235,11 @@ func remaining(deadline time.Time) time.Duration {
 	return rem
 }
 
-// capBudget tightens *d to budget when budget is the earlier bound.
-func capBudget(d *time.Duration, budget time.Duration) {
-	if budget <= 0 {
-		return
-	}
-	if *d == 0 || *d > budget {
-		*d = budget
-	}
-}
-
-// headStart is the sequential search's first-step budget: seqHeadStart,
+// headStart is the enumeration head start's budget: enumHeadStart,
 // shrunk to a fifth of a tight shared deadline so CNF still gets most of
 // it.
 func headStart(deadline time.Time) time.Duration {
-	h := seqHeadStart
+	h := enumHeadStart
 	if rem := remaining(deadline); rem > 0 && rem/5 < h {
 		h = rem / 5
 	}
@@ -266,19 +248,13 @@ func headStart(deadline time.Time) time.Duration {
 
 // runPortfolio runs the solver ladder on sys, honouring opts.Ctx and the
 // shared deadline. It returns the solution together with the attempt
-// trail; when every step fails, the trail explains each step's exit. The
-// per-step statistics (SeqStats, CNFStats) land in rep even when the step
-// that produced them did not solve.
+// trail; when the ladder fails, the trail explains each step's exit. The
+// CNF statistics land in rep even when CNF did not solve.
 func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, []SolverAttempt, error) {
 	var trail []SolverAttempt
-	// fallback says whether the sequential search runs after a CNF
-	// failure: under TSO/PSO always, under SC only when the head start
-	// ran out of its budget.
-	fallback, lower := true, 0
+	lower := 0
 	if sys.Model == vm.SC {
-		seqOpts := seqOptions(opts, deadline)
-		capBudget(&seqOpts.Deadline, headStart(deadline))
-		sol, att := seqStage(rep, sys, seqOpts, sp)
+		sol, floor, att := enumStage(opts.Ctx, rep, sys, headStart(deadline), sp)
 		trail = append(trail, att)
 		if sol != nil {
 			return sol, trail, nil
@@ -286,14 +262,12 @@ func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOpti
 		if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
 			return nil, trail, err
 		}
-		fallback, lower = att.Outcome == "interrupted", refutedOf(rep.SeqStats)
+		lower = floor
 	}
-	// A resumed sequential step supersedes the head start it resumed.
-	superseded := len(trail)
 
 	cnfOpts := cnfOptions(opts, deadline)
 	if deadline.IsZero() {
-		capBudget(&cnfOpts.Deadline, defaultCNFBudget)
+		cnfOpts.Deadline = defaultCNFBudget
 	}
 	sol, att := cnfStage(rep, sys, cnfOpts, lower, sp)
 	trail = append(trail, att)
@@ -301,7 +275,7 @@ func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOpti
 		return sol, trail, nil
 	}
 	// CNF's encoding is complete, so its Unsat proves that no schedule
-	// exists: a sequential step could only burn the budget.
+	// exists.
 	var unsat *cnfsolver.Unsat
 	if errors.As(att.err, &unsat) {
 		return nil, trail, fmt.Errorf("core: portfolio: no schedule exists (%s): %w", trailSummary(trail), unsat)
@@ -309,33 +283,10 @@ func runPortfolio(rep *Reproduction, sys *constraints.System, opts ReproduceOpti
 	if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
 		return nil, trail, err
 	}
-
-	final := trail
-	if fallback {
-		seqOpts := seqOptions(opts, deadline)
-		if deadline.IsZero() {
-			capBudget(&seqOpts.Deadline, defaultSeqBudget)
-		}
-		sol, att = seqStage(rep, sys, seqOpts, sp)
-		trail = append(trail, att)
-		if sol != nil {
-			return sol, trail, nil
-		}
-		if err := portfolioCut(opts.Ctx, deadline, trail); err != nil {
-			return nil, trail, err
-		}
-		final = trail[superseded:]
-	}
-	// No shared budget expired, but a step may have exhausted its own:
-	// surface that interrupt typed so "ran out of time" is not mistaken
-	// for a proof that no schedule exists.
-	for _, a := range final {
-		var intr *solver.Interrupted
-		if a.err != nil && errors.As(a.err, &intr) {
-			return nil, trail, fmt.Errorf("core: portfolio exhausted (%s): %w", trailSummary(trail), intr)
-		}
-	}
-	return nil, trail, fmt.Errorf("core: portfolio exhausted: %s", trailSummary(trail))
+	// No shared budget expired, but CNF failed: its fault, panic, budget
+	// error or own interrupt ends the ladder, wrapped so a caller can tell
+	// "ran out of time" from a proof that no schedule exists.
+	return nil, trail, fmt.Errorf("core: portfolio exhausted (%s): %w", trailSummary(trail), att.err)
 }
 
 // portfolioCut reports a typed interrupt when the shared budget ran out

@@ -14,7 +14,6 @@ import (
 	"repro/internal/constraints"
 	"repro/internal/faultinject"
 	"repro/internal/schedule"
-	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -215,19 +214,20 @@ func checkSameModels(t *testing.T, plain, pre *constraints.System, budget int) i
 	return accepted
 }
 
-// solveAndCrossValidate solves the preprocessed system with the
-// sequential and CNF backends, validates each solution against the
-// original, unpreprocessed system, and runs the full per-schedule
-// property on both solutions. Returns how many solutions it checked.
+// solveAndCrossValidate solves the preprocessed system for a minimal
+// schedule (SolveMinimal) and for a first one (cnfsolver.Solve), validates
+// each solution against the original, unpreprocessed system, and runs the
+// full per-schedule property on both solutions. Returns how many
+// solutions it checked.
 func solveAndCrossValidate(t *testing.T, plain, pre *constraints.System) int {
 	t.Helper()
 	pruned := prunedSets(pre)
-	sol, _, err := solver.Solve(pre, solver.Options{MaxPreemptions: -1})
+	sol, _, err := cnfsolver.NewSession(pre, cnfsolver.Options{}).SolveMinimal(0)
 	if err != nil {
-		t.Fatalf("sequential solver on preprocessed system: %v", err)
+		t.Fatalf("minimal solve of the preprocessed system: %v", err)
 	}
 	if !assertSchedule(t, plain, pre, pruned, sol.Order) {
-		t.Fatal("sequential solution rejected by the original system")
+		t.Fatal("minimal solution rejected by the original system")
 	}
 	csol, _, err := cnfsolver.Solve(pre, cnfsolver.Options{})
 	if err != nil {

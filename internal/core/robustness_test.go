@@ -128,7 +128,7 @@ func TestRecordCtxCancelInterrupts(t *testing.T) {
 
 func TestReproduceDeadlineExpired(t *testing.T) {
 	rec := recordLostUpdate(t)
-	for _, kind := range []SolverKind{Sequential, Parallel, CNF, Portfolio} {
+	for _, kind := range []SolverKind{Parallel, CNF, Portfolio} {
 		start := time.Now()
 		rep, err := Reproduce(rec, ReproduceOptions{Solver: kind, Deadline: time.Nanosecond})
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -154,7 +154,7 @@ func TestReproduceCtxCancelled(t *testing.T) {
 	rec := recordLostUpdate(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Sequential, Ctx: ctx})
+	rep, err := Reproduce(rec, ReproduceOptions{Ctx: ctx})
 	if err == nil {
 		t.Fatal("cancelled context produced no error")
 	}
@@ -186,7 +186,7 @@ func TestReproduceCNFKind(t *testing.T) {
 
 func TestPortfolioFallsBackOnInjectedFailure(t *testing.T) {
 	rec := recordLostUpdate(t)
-	faultinject.Fail("solver.sequential")
+	faultinject.Fail("solver.enumerate")
 	defer faultinject.Reset()
 	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio})
 	if err != nil {
@@ -195,37 +195,49 @@ func TestPortfolioFallsBackOnInjectedFailure(t *testing.T) {
 	if !rep.Outcome.Reproduced {
 		t.Fatal("portfolio did not reproduce via fallback")
 	}
-	if got := trailOf(rep.Attempts); got != "sequential fault injected, cnf solved" {
+	if got := trailOf(rep.Attempts); got != "enumerate fault injected, cnf solved" {
 		t.Fatalf("attempt trail: %s", got)
 	}
 }
 
+// TestPortfolioAllStagesFail makes CNF fail after a head start that did
+// not solve: the ladder ends there, with an error that names both steps
+// and wraps CNF's failure, not an interrupt.
 func TestPortfolioAllStagesFail(t *testing.T) {
 	rec := recordLostUpdate(t)
-	defer func(h time.Duration) { seqHeadStart = h }(seqHeadStart)
+	defer SetHeadStart(enumHeadStart)()
 	for _, tc := range []struct {
 		headStart time.Duration
-		seqFault  faultinject.Failure
+		enumFault bool
+		cnf       faultinject.Failure
 		want      string
 	}{
-		// A head start that ended for a reason other than its budget is
-		// not resumed after CNF fails.
-		{seqHeadStart, faultinject.Failure{}, "sequential fault injected, cnf fault injected"},
-		// A head start that ran out is resumed; the resumed step's
-		// failure supersedes the head start's interrupt.
-		{time.Nanosecond, faultinject.Failure{After: 1}, "sequential interrupted, cnf fault injected, sequential fault injected"},
+		{enumHeadStart, true, faultinject.Failure{}, "enumerate fault injected, cnf fault injected"},
+		{time.Nanosecond, false, faultinject.Failure{Panic: "injected cnf panic"}, "enumerate interrupted, cnf panicked"},
 	} {
-		seqHeadStart = tc.headStart
-		faultinject.Enable("solver.sequential", tc.seqFault)
-		faultinject.Fail("solver.cnf")
+		enumHeadStart = tc.headStart
+		if tc.enumFault {
+			faultinject.Fail("solver.enumerate")
+		}
+		faultinject.Enable("solver.cnf", tc.cnf)
+		start := time.Now()
 		rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Deadline: time.Minute})
 		faultinject.Reset()
 		if err == nil {
 			t.Fatal("all steps injected to fail, yet the portfolio succeeded")
 		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("the ladder ran on for %v after CNF failed", elapsed)
+		}
 		var intr *solver.Interrupted
 		if errors.As(err, &intr) {
 			t.Fatalf("no final step was interrupted, yet the error is typed as one: %v", err)
+		}
+		if tc.cnf.Panic == "" && !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("the error does not wrap CNF's injected fault: %v", err)
+		}
+		if !strings.Contains(err.Error(), "enumerate: ") || !strings.Contains(err.Error(), "cnf: ") {
+			t.Fatalf("the error does not name both steps: %v", err)
 		}
 		if rep == nil {
 			t.Fatal("failed portfolio returned no partial diagnostics")
@@ -236,30 +248,9 @@ func TestPortfolioAllStagesFail(t *testing.T) {
 	}
 }
 
-// TestPortfolioResumesSequential drives the ladder's third step: the
-// sequential head start runs out, CNF fails before the deadline, and the
-// sequential search runs again with the remaining budget and solves.
-func TestPortfolioResumesSequential(t *testing.T) {
-	rec := recordLostUpdate(t)
-	defer func(h time.Duration) { seqHeadStart = h }(seqHeadStart)
-	seqHeadStart = time.Nanosecond
-	faultinject.Fail("solver.cnf")
-	defer faultinject.Reset()
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Deadline: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("resumed sequential step did not reproduce")
-	}
-	if got := trailOf(rep.Attempts); got != "sequential interrupted, cnf fault injected, sequential solved" {
-		t.Fatalf("attempt trail: %s", got)
-	}
-}
-
 // TestPortfolioStopsAtCNFUnsat re-analyses a TSO-only bug under SC, where
-// no schedule exists. Once CNF proves that, the ladder ends: a resumed
-// sequential search could only burn the rest of the budget.
+// no schedule exists. Once CNF proves that, the ladder ends with an error
+// that wraps the proof.
 func TestPortfolioStopsAtCNFUnsat(t *testing.T) {
 	prog, err := Compile(dekkerTSOSrc)
 	if err != nil {
@@ -270,8 +261,7 @@ func TestPortfolioStopsAtCNFUnsat(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Model = vm.SC
-	defer func(h time.Duration) { seqHeadStart = h }(seqHeadStart)
-	seqHeadStart = time.Nanosecond
+	defer SetHeadStart(time.Nanosecond)()
 	start := time.Now()
 	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, Deadline: time.Minute})
 	elapsed := time.Since(start)
@@ -279,7 +269,7 @@ func TestPortfolioStopsAtCNFUnsat(t *testing.T) {
 	if !errors.As(err, &unsat) {
 		t.Fatalf("want an error wrapping *cnfsolver.Unsat, got %v", err)
 	}
-	if got := trailOf(rep.Attempts); got != "sequential interrupted, cnf failed" {
+	if got := trailOf(rep.Attempts); got != "enumerate interrupted, cnf failed" {
 		t.Fatalf("attempt trail: %s", got)
 	}
 	if elapsed > 2*time.Second {

@@ -36,9 +36,9 @@ import (
 // Skipping unbindable conjuncts and unconstrained maybe-same-address
 // rivals over-approximates satisfiability, which keeps the shrinker
 // sound: oracle-unsat implies genuinely conflicting retained groups. The
-// rival placement uses the same two-variant approximation as the
-// production sequential solver (all free rivals before the chosen write,
-// or all after the read), so "minimal" is relative to this procedure; see
+// rival placement uses a two-variant approximation (all free rivals
+// before the chosen write, or all after the read), so "minimal" is
+// relative to this procedure; see
 // DESIGN.md for the full argument. A budget bounds the search; exhaustion
 // reports unknown and the shrinker then conservatively keeps the group.
 

@@ -42,13 +42,6 @@ var StableNames = []string{
 	"preprocess.wait.cands.after",
 	"preprocess.closure.skipped", // 1 when the reachability closure was skipped
 
-	// Sequential solver (solver.Stats); live-updated during the solve.
-	"solver.seq.decisions",
-	"solver.seq.backtracks",
-	"solver.seq.extensions",
-	"solver.seq.validations",
-	"solver.seq.bound",
-
 	// Parallel solver (parsolve.Result); live-updated during the solve.
 	"solver.par.generated",
 	"solver.par.validated",
@@ -84,13 +77,13 @@ var StableNames = []string{
 
 	// Stage latency histograms: one observation per stage execution, in
 	// nanoseconds over the fixed exponential buckets (histogram.go). The
-	// stage.solve.<backend> family times individual portfolio attempts.
+	// stage.solve.<step> family times individual solver attempts.
 	"stage.record.ns",
 	"stage.symexec.ns",
 	"stage.preprocess.ns",
 	"stage.solve.ns",
 	"stage.replay.ns",
-	"stage.solve.sequential.ns",
+	"stage.solve.enumerate.ns",
 	"stage.solve.parallel.ns",
 	"stage.solve.cnf.ns",
 
@@ -163,6 +156,6 @@ func IsStable(name string) bool { return stableSet[name] }
 // Default heartbeat configuration: the live gauges worth a glance during
 // a long solve, and the activity metrics worth reporting as rates.
 var (
-	ProgressGauges = []string{"solver.seq.bound", "solver.par.bound", "solver.cnf.rounds"}
-	ProgressRates  = []string{"solver.seq.decisions", "solver.par.generated", "solver.cnf.sat.conflicts"}
+	ProgressGauges = []string{"solver.par.bound", "solver.cnf.rounds"}
+	ProgressRates  = []string{"solver.par.generated", "solver.cnf.sat.conflicts"}
 )

@@ -64,19 +64,19 @@ func TestRegistryTypedAndSorted(t *testing.T) {
 	c := reg.Counter("record.events")
 	c.Add(5)
 	c.Add(7)
-	g := reg.Gauge("solver.seq.bound")
+	g := reg.Gauge("solver.par.bound")
 	g.Set(2)
 	g.Set(4)
 	if v := reg.Get("record.events"); v != 12 {
 		t.Errorf("counter = %d, want 12", v)
 	}
-	if v := reg.Get("solver.seq.bound"); v != 4 {
+	if v := reg.Get("solver.par.bound"); v != 4 {
 		t.Errorf("gauge = %d, want 4", v)
 	}
 	if k, _ := reg.KindOf("record.events"); k != KindCounter {
 		t.Error("counter kind lost")
 	}
-	if k, _ := reg.KindOf("solver.seq.bound"); k != KindGauge {
+	if k, _ := reg.KindOf("solver.par.bound"); k != KindGauge {
 		t.Error("gauge kind lost")
 	}
 	reg.Add("a.z", 1)
@@ -88,10 +88,10 @@ func TestRegistryTypedAndSorted(t *testing.T) {
 		}
 	}
 	cs, gs := reg.Snapshot()
-	if cs["record.events"] != 12 || gs["solver.seq.bound"] != 4 {
+	if cs["record.events"] != 12 || gs["solver.par.bound"] != 4 {
 		t.Errorf("snapshot split wrong: %v %v", cs, gs)
 	}
-	if _, ok := cs["solver.seq.bound"]; ok {
+	if _, ok := cs["solver.par.bound"]; ok {
 		t.Error("gauge leaked into counters")
 	}
 }
@@ -145,12 +145,12 @@ func TestReportRoundTrip(t *testing.T) {
 	lvl.End()
 	rec.End()
 	solve := tr.Root().Start("solve")
-	att := solve.Start("solve.sequential")
+	att := solve.Start("solve.enumerate")
 	att.SetAttr("outcome", "solved")
 	att.End()
 	solve.End()
 	tr.Reg().Counter("record.events").Add(42)
-	tr.Reg().Gauge("solver.seq.bound").Set(3)
+	tr.Reg().Gauge("solver.par.bound").Set(3)
 
 	rep := tr.Report()
 	data, err := rep.Encode()
@@ -237,8 +237,8 @@ func TestStableNamesWellFormed(t *testing.T) {
 
 func TestHeartbeat(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("solver.seq.bound").Set(2)
-	reg.Set("solver.seq.decisions", 1000)
+	reg.Gauge("solver.par.bound").Set(2)
+	reg.Set("solver.par.generated", 1000)
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := writerFunc(func(p []byte) (int, error) {
@@ -252,7 +252,7 @@ func TestHeartbeat(t *testing.T) {
 		mu.Lock()
 		s := buf.String()
 		mu.Unlock()
-		if strings.Contains(s, "solver.seq.bound=2") && strings.Contains(s, "solver.seq.decisions/s=") {
+		if strings.Contains(s, "solver.par.bound=2") && strings.Contains(s, "solver.par.generated/s=") {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -9,7 +9,7 @@
 // constraints.ValidateSchedule, and the pool below supplies the
 // parallelism. The package reproduces the shape of Table 3: the number of
 // generated candidates dwarfs the number of valid ones, the wall time
-// beats the sequential solver on most programs, and racey-style workloads
+// beats sequential solving on most programs, and racey-style workloads
 // (hundreds of forced preemptions) defeat the bounded generator.
 package parsolve
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cnfsolver"
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/replay"
@@ -25,7 +26,7 @@ func solveOne(t *testing.T, src string, model vm.MemModel) (*core.Recording, *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := solver.Solve(sys, solver.Options{MaxPreemptions: -1})
+	sol, _, err := cnfsolver.NewSession(sys, cnfsolver.Options{}).SolveMinimal(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@
 // A candidate schedule is a total order of all SAPs that respects the
 // memory-order constraints Fmo (and, optionally, the other hard order
 // edges like fork<start). Candidates are then validated against the full
-// constraint system — by internal/parsolve in parallel, which is the
-// paper's parallel constraint solving algorithm.
+// constraint system — serially by Enumerate, the product path's head
+// start, and by internal/parsolve in parallel, which is the paper's
+// parallel constraint solving algorithm.
 //
 // Generation is guided by context-switch-point (CSP) sets. A CSP is a
 // triple (t1, k, t2): thread t1 is preempted by thread t2 immediately

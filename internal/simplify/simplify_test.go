@@ -3,6 +3,7 @@ package simplify_test
 import (
 	"testing"
 
+	"repro/internal/cnfsolver"
 	"repro/internal/constraints"
 	"repro/internal/core"
 	"repro/internal/escape"
@@ -156,7 +157,7 @@ func TestSimplifyApproachesSolverMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minSol, _, err := solver.Solve(sys, solver.Options{MaxPreemptions: -1})
+	minSol, _, err := cnfsolver.NewSession(sys, cnfsolver.Options{}).SolveMinimal(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/constraints"
 )
 
-// ordGraph is the solver's order graph with incremental cycle detection.
+// ordGraph is the order graph with incremental cycle detection.
 //
 // It maintains a topological order ord[] of the nodes across edge
 // insertions in the style of Pearce & Kelly ("A Dynamic Topological Sort
@@ -17,11 +17,11 @@ import (
 // lies between ord[b] and ord[a]. A cycle is discovered exactly when the
 // forward search from b inside that region hits a.
 //
-// Edge deletion (the solver backtracking its trail) is O(1) per edge and
+// Edge deletion (a caller backtracking its trail) is O(1) per edge and
 // never touches ord: a topological order of G remains a topological order
 // of any subgraph of G, so undo just pops the adjacency lists. This is
-// what makes the scheme fit chronological backtracking so well — the
-// trail-based solver deletes edges in strict LIFO order and pays nothing
+// what makes the scheme fit chronological backtracking so well — a
+// trail-based search deletes edges in strict LIFO order and pays nothing
 // for it.
 type ordGraph struct {
 	adj  [][]constraints.SAPRef // forward adjacency
@@ -30,7 +30,7 @@ type ordGraph struct {
 
 	trail []ordEdge
 
-	// Generation-stamped DFS scratch shared by reaches and the PK searches.
+	// Generation-stamped DFS scratch of the PK searches.
 	seen    []int32
 	seenGen int32
 	stack   []constraints.SAPRef
@@ -164,36 +164,4 @@ func (g *ordGraph) reorder() {
 		g.ord[n] = g.rankPool[k]
 		k++
 	}
-}
-
-// reaches reports whether to is reachable from from. The topological
-// order makes most queries O(1) — a node never reaches one ranked below
-// it — and prunes the DFS frontier of the rest to the rank interval
-// (ord[from], ord[to]].
-func (g *ordGraph) reaches(from, to constraints.SAPRef) bool {
-	if from == to {
-		return true
-	}
-	bound := g.ord[to]
-	if g.ord[from] > bound {
-		return false
-	}
-	g.seenGen++
-	gen := g.seenGen
-	g.stack = append(g.stack[:0], from)
-	g.seen[from] = gen
-	for len(g.stack) > 0 {
-		n := g.stack[len(g.stack)-1]
-		g.stack = g.stack[:len(g.stack)-1]
-		for _, m := range g.adj[n] {
-			if m == to {
-				return true
-			}
-			if g.seen[m] != gen && g.ord[m] < bound {
-				g.seen[m] = gen
-				g.stack = append(g.stack, m)
-			}
-		}
-	}
-	return false
 }

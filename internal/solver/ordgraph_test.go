@@ -166,3 +166,36 @@ func TestOrdGraphDense(t *testing.T) {
 		t.Fatal("reachability wrong after rejected edge")
 	}
 }
+
+// reaches reports whether to is reachable from from, trusting the
+// topological order: a node never reaches one ranked below it, and the
+// DFS frontier is pruned to the rank interval (ord[from], ord[to]]. A
+// rank that broke the order would show as a wrong answer against
+// naiveGraph.
+func (g *ordGraph) reaches(from, to constraints.SAPRef) bool {
+	if from == to {
+		return true
+	}
+	bound := g.ord[to]
+	if g.ord[from] > bound {
+		return false
+	}
+	g.seenGen++
+	gen := g.seenGen
+	g.stack = append(g.stack[:0], from)
+	g.seen[from] = gen
+	for len(g.stack) > 0 {
+		n := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		for _, m := range g.adj[n] {
+			if m == to {
+				return true
+			}
+			if g.seen[m] != gen && g.ord[m] < bound {
+				g.seen[m] = gen
+				g.stack = append(g.stack, m)
+			}
+		}
+	}
+	return false
+}

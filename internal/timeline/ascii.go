@@ -27,9 +27,6 @@ func renderExec(w io.Writer, program string, ex *Execution) {
 	if program != "" {
 		title = program + ": " + ex.Name
 	}
-	if ex.Partial {
-		title += fmt.Sprintf(" (partial, depth %d)", ex.Depth)
-	}
 	fmt.Fprintf(w, "== %s ==\n", title)
 	var hdr strings.Builder
 	hdr.WriteString("      ")

@@ -11,7 +11,7 @@ import (
 // array), which Perfetto and chrome://tracing load directly:
 //
 //   - each Execution is one process (pid); a process_name metadata event
-//     names it ("recorded", "solved", "replay", "attempt:…"),
+//     names it ("recorded", "solved", "replay"),
 //   - each thread is one track (tid), named by a thread_name metadata
 //     event,
 //   - each Event is a complete ("X") slice of duration 1 at its logical
@@ -28,14 +28,10 @@ import (
 type chromeArgs struct {
 	// Name carries the process/thread name on "M" metadata events.
 	Name string `json:"name,omitempty"`
-	// SortIndex orders processes in the viewer (recorded, solved, replay,
-	// then attempts).
+	// SortIndex orders processes in the viewer (recorded, solved, replay).
 	SortIndex int `json:"sort_index,omitempty"`
 	// Pos is the SAP's source position "line:col".
 	Pos string `json:"pos,omitempty"`
-	// Partial/Depth annotate losing-attempt executions.
-	Partial bool `json:"partial,omitempty"`
-	Depth   int  `json:"depth,omitempty"`
 }
 
 // chromeEvent is one trace event.
@@ -68,7 +64,7 @@ func EncodeChrome(tl *Timeline) ([]byte, error) {
 		if tl.Program != "" {
 			name = tl.Program + ": " + ex.Name
 		}
-		meta := &chromeArgs{Name: name, SortIndex: pid, Partial: ex.Partial, Depth: ex.Depth}
+		meta := &chromeArgs{Name: name, SortIndex: pid}
 		evs = append(evs, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Args: meta,
 		})

@@ -1,11 +1,10 @@
 // Package timeline is the pipeline's flight recorder: it turns the three
 // executions the reproduction touches — the recorded run, the solved SAP
-// schedule, and the deterministic replay — plus the losing portfolio
-// attempts' partial orders into one unified timeline artifact. The
-// artifact renders two ways: Chrome trace-event JSON (EncodeChrome;
-// loadable in Perfetto or chrome://tracing, one track per thread, spawn/
-// join and race-flip arrows as flow events) and a terminal ASCII view
-// (RenderASCII) for quick looks.
+// schedule, and the deterministic replay — into one unified timeline
+// artifact. The artifact renders two ways: Chrome trace-event JSON
+// (EncodeChrome; loadable in Perfetto or chrome://tracing, one track per
+// thread, spawn/join and race-flip arrows as flow events) and a terminal
+// ASCII view (RenderASCII) for quick looks.
 //
 // Everything in the model is logical — event indices, not wall clock — so
 // the artifact built from a given trace is byte-identical across runs,
@@ -17,13 +16,11 @@ import (
 	"fmt"
 
 	"repro/internal/constraints"
-	"repro/internal/solver"
 	"repro/internal/symexec"
 	"repro/internal/vm"
 )
 
-// Well-known execution names. Attempt executions use "attempt:" plus the
-// solver stage name.
+// Well-known execution names.
 const (
 	ExecRecorded = "recorded"
 	ExecSolved   = "solved"
@@ -31,7 +28,7 @@ const (
 )
 
 // Timeline is the unified artifact: one Execution per run of the program
-// the pipeline saw (or partially constructed).
+// the pipeline saw.
 type Timeline struct {
 	// Program is the benchmark or source name, for display.
 	Program string
@@ -49,11 +46,6 @@ type Execution struct {
 	// Arrows are cross-lane edges: spawn→start, exit→join, and the
 	// explainability layer's race-flip arrows.
 	Arrows []Arrow
-	// Partial marks an execution reconstructed from a losing solver
-	// attempt's partial order: times are topological ranks, not a
-	// validated schedule. Depth is the attempt's decision depth.
-	Partial bool
-	Depth   int
 }
 
 // Event is one visible operation on a thread's lane.
@@ -155,9 +147,8 @@ func eventLabel(e vm.VisibleEvent) string {
 	return e.Kind.String()
 }
 
-// FromOrder builds an execution from a total (or partial-order-consistent)
-// SAP sequence: the solved schedule, or a losing attempt's topological
-// snapshot. Times are sequence indices. When a witness is given, read
+// FromOrder builds an execution from a total SAP sequence, the solved
+// schedule. Times are sequence indices. When a witness is given, read
 // events are labeled with the concrete value the schedule makes them
 // observe.
 func FromOrder(name string, sys *constraints.System, order []constraints.SAPRef, w *constraints.Witness) *Execution {
@@ -204,20 +195,6 @@ func FromOrder(name string, sys *constraints.System, order []constraints.SAPRef,
 			}
 		}
 	}
-	return ex
-}
-
-// FromPartial builds an execution from a losing solver attempt's partial
-// snapshot (solver.Stats.Partial): the order is only
-// hard-edge-and-decided-prefix consistent, so the execution is marked
-// Partial and carries the attempt's decision depth.
-func FromPartial(name string, sys *constraints.System, st *solver.Stats) *Execution {
-	if st == nil || st.Partial == nil {
-		return nil
-	}
-	ex := FromOrder(name, sys, st.Partial, nil)
-	ex.Partial = true
-	ex.Depth = st.PartialDepth
 	return ex
 }
 
